@@ -24,35 +24,19 @@ from typing import Optional
 
 from ..config import SystemConfig
 from ..errors import ProtocolError
-from ..faults.reliable import RetryPolicy
 from .coherence import CoherentMemory
-from .logp_net import LogPNetwork
-from .machine import Machine, register_machine
-from .params import derive_logp
+from .logp import LogPNetMachine
+from .machine import register_machine
 
 
 @register_machine
-class CLogPMachine(Machine):
+class CLogPMachine(LogPNetMachine):
     """LogP network + ideal (overhead-free) coherent caches."""
 
     name = "clogp"
 
     def __init__(self, config: SystemConfig):
         super().__init__(config)
-        self.params = derive_logp(config, self.topology)
-        self.net = LogPNetwork(
-            self.sim,
-            self.params,
-            per_event_type=config.g_per_event_type,
-            topology=self.topology,
-            adaptive=config.adaptive_g,
-            injector=self.fault_injector,
-            retry_policy=(
-                RetryPolicy.from_fault(config.fault)
-                if self.fault_injector is not None else None
-            ),
-            checkers=self.checkers,
-        )
         self.memory = CoherentMemory(
             config, self.space, checkers=self.checkers, sim=self.sim
         )
@@ -116,31 +100,3 @@ class CLogPMachine(Machine):
             self.record_retry(pid, trip.retry_ns)
         yield trip.total_ns
         return trip.latency_ns, service
-
-
-    def mp_transmit(self, pid: int, dst: int, nbytes: int):
-        """Explicit message through the LogP network, packetized.
-
-        Each packet is one LogP message: full ``L`` latency plus the
-        per-node ``g`` gating (and ``o``, were it non-zero) -- the
-        model's home turf, since LogP was formulated for message
-        passing.
-        """
-        if pid == dst:
-            return 0, 0
-        latency = 0
-        total = 0
-        remaining = nbytes
-        packet = self.config.data_message_bytes
-        while remaining > 0:
-            trip = self.net.one_way(pid, dst)
-            latency += trip.latency_ns
-            total = max(total, trip.total_ns)
-            if trip.retry_ns:
-                self.record_retry(pid, trip.retry_ns)
-            remaining -= packet
-        yield total
-        return latency, 0
-
-    def message_count(self) -> int:
-        return self.net.messages

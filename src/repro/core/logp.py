@@ -25,11 +25,12 @@ from .machine import Machine, register_machine
 from .params import derive_logp
 
 
-@register_machine
-class LogPMachine(Machine):
-    """Cache-less NUMA machine over the LogP network abstraction."""
+class LogPNetMachine(Machine):
+    """Base of the machines whose network is the LogP abstraction.
 
-    name = "logp"
+    Builds the :class:`LogPNetwork` from the configuration and sends
+    explicit messages through it; subclasses supply the memory model.
+    """
 
     def __init__(self, config: SystemConfig):
         super().__init__(config)
@@ -47,23 +48,6 @@ class LogPMachine(Machine):
             ),
             checkers=self.checkers,
         )
-        self._poll_messages = 0
-
-    # -- memory interface ---------------------------------------------------------
-
-    def try_fast(self, pid: int, addr: int, is_write: bool) -> Optional[int]:
-        if self.space.home_of(addr) == pid:
-            return self.config.memory_ns
-        return None
-
-    def transact(self, pid: int, addr: int, is_write: bool):
-        home = self.space.home_of(addr)
-        trip = self.net.round_trip(pid, home, service_ns=self.config.memory_ns)
-        if trip.retry_ns:
-            self.record_retry(pid, trip.retry_ns)
-        yield trip.total_ns
-        return trip.latency_ns, trip.service_ns
-
 
     def mp_transmit(self, pid: int, dst: int, nbytes: int):
         """Explicit message through the LogP network, packetized.
@@ -88,6 +72,35 @@ class LogPMachine(Machine):
             remaining -= packet
         yield total
         return latency, 0
+
+    def message_count(self) -> int:
+        return self.net.messages
+
+
+@register_machine
+class LogPMachine(LogPNetMachine):
+    """Cache-less NUMA machine over the LogP network abstraction."""
+
+    name = "logp"
+
+    def __init__(self, config: SystemConfig):
+        super().__init__(config)
+        self._poll_messages = 0
+
+    # -- memory interface ---------------------------------------------------------
+
+    def try_fast(self, pid: int, addr: int, is_write: bool) -> Optional[int]:
+        if self.space.home_of(addr) == pid:
+            return self.config.memory_ns
+        return None
+
+    def transact(self, pid: int, addr: int, is_write: bool):
+        home = self.space.home_of(addr)
+        trip = self.net.round_trip(pid, home, service_ns=self.config.memory_ns)
+        if trip.retry_ns:
+            self.record_retry(pid, trip.retry_ns)
+        yield trip.total_ns
+        return trip.latency_ns, trip.service_ns
 
     # -- spin model ---------------------------------------------------------------
 

@@ -25,15 +25,13 @@ events; ours is too, relative to the cached machines).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from ..engine.core import Simulator
 from .params import LogPParams
 
 
-@dataclass(frozen=True)
-class Trip:
+class Trip(NamedTuple):
     """Timing decomposition of one (round-)trip through the LogP network."""
 
     #: Total elapsed time from initiation to completion.
@@ -156,31 +154,45 @@ class LogPNetwork:
 
     # -- trips --------------------------------------------------------------------
 
+    def _leg(self, src: int, dst: int, now: int):
+        """One fault-free message sent at ``now``: gate it, count it.
+
+        Returns ``(received, stall)``.  The send and receive gates are
+        updated inline with one ``g`` per leg; under strict gating the
+        two gate lists are the same list, so a receive waits for the
+        node's last send and vice versa.
+        """
+        if self.adaptive:
+            self._observe(src, dst)
+            g = self.effective_g()
+        else:
+            g = self.params.g_ns
+        gate = self._send_gate
+        sent = gate[src]
+        if sent < now:
+            sent = now
+        gate[src] = sent + g
+        arrived = sent + self.params.L_ns
+        gate = self._recv_gate
+        received = gate[dst]
+        if received < arrived:
+            received = arrived
+        gate[dst] = received + g
+        stall = (sent - now) + (received - arrived)
+        self.messages += 1
+        self.total_stall_ns += stall
+        for hook in self._message_hooks:
+            hook(received, src, dst, "logp", 0, True)
+        return received, stall
+
     def one_way(self, src: int, dst: int, start_at: int = None) -> Trip:
         """One message src -> dst; returns its timing decomposition."""
         now = self.sim.now if start_at is None else start_at
         if self.injector is not None:
             return self._one_way_faulty(src, dst, now)
-        L = self.params.L_ns
+        received, stall = self._leg(src, dst, now)
         o2 = 2 * self.params.o_ns
-        self._observe(src, dst)
-        sent = self._gate_send(src, now)
-        arrived = sent + L
-        received = self._gate_recv(dst, arrived)
-        total = (received - now) + o2
-        stall = (sent - now) + (received - arrived)
-        self.messages += 1
-        self.total_stall_ns += stall
-        if self._message_hooks:
-            for hook in self._message_hooks:
-                hook(received, src, dst, "logp", 0, True)
-        return Trip(
-            total_ns=total,
-            latency_ns=L + o2,
-            stall_ns=stall,
-            service_ns=0,
-            messages=1,
-        )
+        return Trip(received - now + o2, self.params.L_ns + o2, stall, 0, 1)
 
     def _one_way_faulty(self, src: int, dst: int, begin: int) -> Trip:
         """One message under fault injection with reliable delivery.
@@ -286,15 +298,19 @@ class LogPNetwork:
         remote node's memory/cache access between the two messages.
         """
         now = self.sim.now
-        request = self.one_way(src, dst, now)
-        reply_start = now + request.total_ns + service_ns
-        reply = self.one_way(dst, src, reply_start)
-        total = request.total_ns + service_ns + reply.total_ns
-        return Trip(
-            total_ns=total,
-            latency_ns=request.latency_ns + reply.latency_ns,
-            stall_ns=request.stall_ns + reply.stall_ns,
-            service_ns=service_ns,
-            messages=2,
-            retry_ns=request.retry_ns + reply.retry_ns,
-        )
+        if self.injector is not None:
+            request = self._one_way_faulty(src, dst, now)
+            reply = self._one_way_faulty(
+                dst, src, now + request.total_ns + service_ns
+            )
+            return Trip(
+                request.total_ns + service_ns + reply.total_ns,
+                request.latency_ns + reply.latency_ns,
+                request.stall_ns + reply.stall_ns,
+                service_ns, 2, request.retry_ns + reply.retry_ns,
+            )
+        o2 = 2 * self.params.o_ns
+        received, request_stall = self._leg(src, dst, now)
+        replied, reply_stall = self._leg(dst, src, received + o2 + service_ns)
+        return Trip(replied - now + o2, 2 * (self.params.L_ns + o2),
+                    request_stall + reply_stall, service_ns, 2)

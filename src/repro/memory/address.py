@@ -197,8 +197,17 @@ class AddressSpace:
         return addr // self.block_bytes
 
     def home_of(self, addr: int) -> int:
-        """Home node of the block containing ``addr``."""
-        return self.home_of_block(self.block_of(addr), self.region_of(addr))
+        """Home node of the block containing ``addr``.
+
+        The block memo is checked first: regions are block-aligned, so a
+        memoized block lies wholly inside its region.  Only a miss pays
+        the region bisect (and raises for unallocated addresses).
+        """
+        block = addr // self.block_bytes
+        home = self._home_cache.get(block)
+        if home is None:
+            home = self.home_of_block(block, self.region_of(addr))
+        return home
 
     def home_of_block(self, block: int, region: Optional[Region] = None) -> int:
         """Home node of a global block id (memoized)."""

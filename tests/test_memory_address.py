@@ -148,3 +148,33 @@ def test_blocked_homes_are_monotone(nprocs, nblocks):
     homes = [space.home_of(array.addr(i * BLOCK)) for i in range(nblocks)]
     assert homes == sorted(homes)
     assert homes[0] == 0
+
+
+def _three_region_space():
+    space = make_space(4)
+    arrays = (space.alloc("a", 100, 8, "blocked"),
+              space.alloc("b", 50, 4, "interleaved"),
+              space.alloc("c", 9, 8, ("node", 3)))
+    return space, [array.addr(i) for array in arrays for i in range(len(array))]
+
+
+def test_home_of_warm_memo_matches_cold():
+    warm, addrs = _three_region_space()
+    for addr in addrs:
+        warm.home_of(addr)  # every block is now memoized
+    for addr in addrs:
+        cold, _ = _three_region_space()
+        assert warm.home_of(addr) == cold.home_of(addr)
+
+
+def test_address_past_last_region_raises_after_memo_warmed():
+    space = make_space(4)
+    array = space.alloc("a", 64, 8, "interleaved")
+    last = array.addr(len(array) - 1)
+    for addr in range(array.base, array.region.end, BLOCK):
+        space.home_of(addr)  # every block of the region is now memoized
+    space.home_of(last)
+    with pytest.raises(AddressError):
+        space.home_of(array.region.end)
+    with pytest.raises(AddressError):
+        space.home_of(array.region.end + BLOCK - 1)
