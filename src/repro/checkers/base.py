@@ -14,10 +14,8 @@ Hook points
 Checkers override any subset of the no-op hooks on :class:`Checker`:
 
 ``on_event(at, seq, action)``
-    one engine scheduler step is about to execute (engine level),
-``on_schedule(at, now)``
-    an action was scheduled for simulated time ``at`` while the clock
-    reads ``now`` (engine level),
+    one engine scheduler step is about to execute (engine level; any
+    such hook forces the object kernel's heap-only loop),
 ``on_message(now, src, dst, kind, nbytes, delivered)``
     one network message finished transport (fabric and LogP network),
 ``on_transition(memory, pid, block, now)``
@@ -72,9 +70,6 @@ class Checker:
 
     def on_event(self, at: int, seq: int, action) -> None:
         """One engine scheduler step about to execute."""
-
-    def on_schedule(self, at: int, now: int) -> None:
-        """An action was scheduled at ``at`` while the clock reads ``now``."""
 
     def on_message(self, now: int, src: int, dst: int, kind: str,
                    nbytes: int, delivered: bool) -> None:
@@ -192,10 +187,6 @@ class CheckerSet:
         self.checkers = tuple(checkers)
         self.event_hooks = tuple(
             c.on_event for c in self.checkers if _overrides(c, "on_event")
-        )
-        self.schedule_hooks = tuple(
-            c.on_schedule for c in self.checkers
-            if _overrides(c, "on_schedule")
         )
         self.message_hooks = tuple(
             c.on_message for c in self.checkers if _overrides(c, "on_message")

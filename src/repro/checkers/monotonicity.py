@@ -1,14 +1,18 @@
 """Engine-level time sanity: the clock only moves forward.
 
-The event heap is keyed by ``(time, sequence)`` and the engine already
-refuses to pop an event older than the clock; this checker verifies the
-stronger properties the determinism argument rests on:
+The invariant is checked by the engine kernels themselves, on every
+kernel and at no extra hook cost (see :mod:`repro.engine.core`):
 
-* executed events are observed in strictly increasing ``(time, seq)``
-  order (the heap never yields a duplicate or reordered step),
-* no action is ever scheduled into the past (negative durations would
-  surface here before the engine trips over them),
-* simulated time is never negative.
+* every heap pop verifies that the popped entry does not lie in the
+  past and that its ``(time, seq)`` key sits strictly below the new
+  heap root -- the heap never yields a duplicate or reordered step,
+* the heap push entry points refuse an action scheduled into the past.
+
+A violation raises :class:`~repro.errors.InvariantError` under this
+checker's name from inside the run loop.  The checker itself installs
+no hooks -- so it never forces the object kernel -- and only reports:
+at the end of the run it records how many events the kernel checked
+and that simulated time is not negative.
 """
 
 from __future__ import annotations
@@ -17,31 +21,12 @@ from .base import Checker
 
 
 class MonotonicityChecker(Checker):
-    """Event times never regress; heap sequence order strictly increases."""
+    """Reports the kernels' per-pop event-order checks."""
 
     name = "monotonicity"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._last_at = -1
-        self._last_seq = -1
-
-    def on_schedule(self, at: int, now: int) -> None:
-        self.checks += 1
-        if at < now:
-            self.violation(
-                now, f"action scheduled into the past: at={at} < now={now}"
-            )
-
-    def on_event(self, at: int, seq: int, action) -> None:
-        self.checks += 1
-        if at < 0:
-            self.violation(at, f"negative simulated time {at}")
-        if (at, seq) <= (self._last_at, self._last_seq):
-            self.violation(
-                at,
-                f"event order regressed: step (t={at}, seq={seq}) executed "
-                f"after (t={self._last_at}, seq={self._last_seq})",
-            )
-        self._last_at = at
-        self._last_seq = seq
+    def finalize(self, machine) -> None:
+        sim = machine.sim
+        self.checks = sim.events_executed
+        if sim.now < 0:
+            self.violation(sim.now, f"negative simulated time {sim.now}")

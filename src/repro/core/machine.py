@@ -131,9 +131,9 @@ class Machine(ABC):
         #: unchecked code paths (see :mod:`repro.checkers`).
         self.checkers = make_checkers(config)
         # Kernel selection honours config.engine_kernel / REPRO_ENGINE;
-        # whenever checkers attach engine hooks the factory falls back
-        # to the object kernel so sanitizers see real (time, seq)
-        # actions (see repro.engine.make_simulator).
+        # only the determinism digest's on_event hook makes the factory
+        # fall back to the object kernel, so the digest sees real
+        # (time, seq) actions (see repro.engine.make_simulator).
         self.sim = make_simulator(
             checkers=self.checkers.checkers if self.checkers else (),
             kernel=config.engine_kernel,

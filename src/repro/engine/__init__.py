@@ -4,10 +4,10 @@ This subpackage is the stand-in for CSIM, the sequential simulation
 library the paper's SPASM simulator was built on.  It provides:
 
 * :class:`~repro.engine.core.Simulator` -- the event loop with an
-  integer-nanosecond clock (the *object* kernel, also the instrumented
-  path for sanitizer checkers),
+  integer-nanosecond clock (the *object* kernel, also the path for the
+  determinism digest's per-event hook),
 * :class:`~repro.engine.soa.SoaSimulator` -- the struct-of-arrays
-  kernel, the default un-instrumented fast path,
+  kernel, the default fast path (checked runs included),
 * :func:`make_simulator` -- the kernel-selecting factory machines use,
 * :class:`~repro.engine.core.Process` -- simulated processes written as
   Python generators that ``yield`` events,
@@ -69,12 +69,13 @@ def make_simulator(checkers=(), kernel: str = "auto",
                    fail_fast: bool = True) -> Simulator:
     """Build a simulator on the selected kernel.
 
-    The *object-path-for-hooks invariant* lives here: whenever any
-    attached checker installs engine-level hooks (``on_event`` /
-    ``on_spawn``), the object kernel is used regardless of the knob, so
-    sanitizers always observe real ``(time, seq, action)`` triples.
-    All kernels execute identical event sequences, so flipping the
-    knob never changes results -- only host time.
+    The *object-path-for-hooks invariant* lives here: only a checker
+    with an ``on_event`` hook -- the determinism digest, which hashes
+    real ``(time, seq, action)`` triples -- forces the object kernel
+    regardless of the knob.  Every other checker runs on the selected
+    kernel: monotonicity is checked per pop inside every kernel's run
+    loop.  All kernels execute identical event sequences, so flipping
+    the knob never changes results -- only host time.
     """
     resolved = resolve_kernel(kernel)
     sim = Simulator(fail_fast=fail_fast, checkers=checkers)

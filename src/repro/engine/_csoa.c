@@ -41,6 +41,12 @@
  *    diverge -- but heap keys are unique (the row field is a monotone
  *    sequence number), so the pop ORDER is identical regardless of
  *    layout, and epoch compaction sorts the pending keys anyway.
+ *  - Every heap pop runs the kernels' monotonicity check: the key may
+ *    not lie in the past and must sit strictly below the new root.
+ *    Violations raise InvariantError("monotonicity", ...), the type
+ *    injected by configure().  Pushes made here only add non-negative
+ *    delays, so the past-schedule check lives in the Python push
+ *    entry points alone.
  *  - `_c_meta` (an array('q')) is accessed through the sequence
  *    protocol, never the buffer protocol: a held buffer export would
  *    make compaction's in-place `extend` raise BufferError.
@@ -109,6 +115,7 @@ static PyObject *g_acquirable = NULL;
 static PyObject *g_event = NULL;
 static PyObject *g_turn = NULL;
 static PyObject *g_simerror = NULL;
+static PyObject *g_inverror = NULL;
 static PyObject *g_flat_tx = NULL;
 static int g_configured = 0;
 
@@ -324,6 +331,50 @@ heap_push_native(PyObject *heap, PyObject *item)
     }
     PyList_SetItem(heap, pos, newitem);  /* steals our extra ref */
     return 0;
+}
+
+/* Raise InvariantError("monotonicity", now, detail); always returns -1. */
+static int
+monotonicity_violation(int64_t now, PyObject *detail)
+{
+    PyObject *exc;
+    if (detail == NULL)
+        return -1;
+    exc = PyObject_CallFunction(g_inverror, "sLO", "monotonicity",
+                                (long long)now, detail);
+    Py_DECREF(detail);
+    if (exc != NULL) {
+        PyErr_SetObject((PyObject *)Py_TYPE(exc), exc);
+        Py_DECREF(exc);
+    }
+    return -1;
+}
+
+/* Per-pop order check (mirrors soa.py): the popped key must sit
+ * strictly below the new heap root.  Keys are unique, so an equal or
+ * smaller root means a duplicated or reordered heap entry.  A root
+ * beyond int64 is necessarily larger.  Returns 0, or -1 with the
+ * InvariantError set. */
+static int
+heap_check_order(PyObject *heap, int64_t key, int64_t now)
+{
+    int overflow = 0;
+    long long root;
+    if (PyList_GET_SIZE(heap) == 0)
+        return 0;
+    root = PyLong_AsLongLongAndOverflow(PyList_GET_ITEM(heap, 0),
+                                        &overflow);
+    if (overflow > 0)
+        return 0;
+    if (root == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow == 0 && root > key)
+        return 0;
+    return monotonicity_violation(now, PyUnicode_FromFormat(
+        "event order regressed: step (t=%lld, row=%lld) popped with "
+        "(t=%lld, row=%lld) still at the heap root",
+        (long long)(key >> ROW_BITS), (long long)(key & ROW_MASK),
+        (long long)(root >> ROW_BITS), (long long)(root & ROW_MASK)));
 }
 
 /* Pop the root; the caller checked the heap is non-empty.  Returns a
@@ -1843,15 +1894,17 @@ csoa_run_fast(PyObject *module, PyObject *sim)
             if (at <= now) {
                 PyObject *popped;
                 if (at < now) {
-                    PyErr_Format(g_simerror,
-                                 "time went backwards: %lld < %lld",
-                                 (long long)at, (long long)now);
+                    monotonicity_violation(now, PyUnicode_FromFormat(
+                        "time went backwards: %lld < %lld",
+                        (long long)at, (long long)now));
                     goto cleanup_flush;
                 }
                 popped = heap_pop_native(heap);
                 if (popped == NULL)
                     goto cleanup_flush;
                 Py_DECREF(popped);
+                if (heap_check_order(heap, key, now) < 0)
+                    goto cleanup_flush;
                 have_key = 1;
             }
             else {
@@ -1863,6 +1916,8 @@ csoa_run_fast(PyObject *module, PyObject *sim)
                     if (popped == NULL)
                         goto cleanup_flush;
                     Py_DECREF(popped);
+                    if (heap_check_order(heap, key, now) < 0)
+                        goto cleanup_flush;
                     now = at;
                     if (set_int_attr(sim, s_now, now) < 0)
                         goto cleanup_flush;
@@ -2514,9 +2569,9 @@ cleanup:
 static PyObject *
 csoa_configure(PyObject *module, PyObject *args)
 {
-    PyObject *acquirable, *event, *turn, *simerror, *flat_tx;
-    if (!PyArg_ParseTuple(args, "OOOOO", &acquirable, &event, &turn,
-                          &simerror, &flat_tx))
+    PyObject *acquirable, *event, *turn, *simerror, *inverror, *flat_tx;
+    if (!PyArg_ParseTuple(args, "OOOOOO", &acquirable, &event, &turn,
+                          &simerror, &inverror, &flat_tx))
         return NULL;
     Py_INCREF(acquirable);
     Py_XDECREF(g_acquirable);
@@ -2530,6 +2585,9 @@ csoa_configure(PyObject *module, PyObject *args)
     Py_INCREF(simerror);
     Py_XDECREF(g_simerror);
     g_simerror = simerror;
+    Py_INCREF(inverror);
+    Py_XDECREF(g_inverror);
+    g_inverror = inverror;
     Py_INCREF(flat_tx);
     Py_XDECREF(g_flat_tx);
     g_flat_tx = flat_tx;
@@ -2542,7 +2600,8 @@ static PyMethodDef csoa_methods[] = {
      "Drive the SoA event loop to completion; returns 1 when the "
      "queues drained, 0 on int64-range handoff."},
     {"configure", csoa_configure, METH_VARARGS,
-     "configure(Acquirable, Event, TURN, SimulationError, FLAT_TX): "
+     "configure(Acquirable, Event, TURN, SimulationError, "
+     "InvariantError, FLAT_TX): "
      "inject the engine types/singletons this module dispatches on."},
     {NULL, NULL, 0, NULL},
 };

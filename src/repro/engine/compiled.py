@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict
 
-from ..errors import DeadlockError, SimulationError
+from ..errors import DeadlockError, InvariantError, SimulationError
 from .core import FLAT_TX, TURN, Acquirable, Event
 from .soa import SoaSimulator
 
@@ -50,7 +50,8 @@ if _extension_enabled():
     except ImportError:
         _csoa = None
     else:
-        _csoa.configure(Acquirable, Event, TURN, SimulationError, FLAT_TX)
+        _csoa.configure(Acquirable, Event, TURN, SimulationError,
+                        InvariantError, FLAT_TX)
 
 #: True when the C hot loop is importable and enabled.  Evaluated once
 #: at import (kernel selection is an import-time decision); tests that

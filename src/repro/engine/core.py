@@ -28,9 +28,17 @@ Design notes
   to keep semantics simple we always defer callbacks through the ring
   at the current time.  ``succeed`` is therefore safe to call from any
   context, including from inside another callback.
-* When sanitizer checkers attach engine hooks the engine runs the
-  legacy heap-only path so every action carries a real ``(time, seq)``
-  pair for the hooks; both paths execute identical event sequences.
+* When a checker attaches an ``on_event`` hook (the determinism
+  digest) the engine runs the legacy heap-only path so every action
+  carries a real ``(time, seq)`` pair for the hook; both paths execute
+  identical event sequences.
+* Event-time monotonicity is checked by every run loop itself, on
+  every kernel: a popped heap entry must not lie in the past and must
+  sit strictly below the new heap root (a duplicated or reordered
+  entry fails this), and the heap push entry points refuse a schedule
+  into the past.  Violations raise
+  :class:`~repro.errors.InvariantError` for the ``monotonicity``
+  checker, which only reports the count.
 * ``Timeout`` objects created through :meth:`Simulator.timeout` are
   pooled: after a timeout expires and its callbacks have run, the
   object is recycled for the next ``timeout()`` call.  Internal code
@@ -58,8 +66,8 @@ Design notes
 * This module is the *object* kernel.  The un-instrumented fast path
   normally runs on the struct-of-arrays kernel in
   :mod:`repro.engine.soa`; use :func:`repro.engine.make_simulator` to
-  select one.  Whenever sanitizer checkers attach engine hooks the
-  object kernel is used regardless, so hooks always observe real
+  select one.  Whenever a checker attaches an ``on_event`` hook the
+  object kernel is used regardless, so the hook always observes real
   ``(time, seq)`` actions.
 """
 
@@ -70,7 +78,13 @@ from collections import deque
 from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from ..errors import DeadlockError, ReproError, SimulationError, WatchdogError
+from ..errors import (
+    DeadlockError,
+    InvariantError,
+    ReproError,
+    SimulationError,
+    WatchdogError,
+)
 
 #: Type alias for simulated-process generators.
 ProcessGenerator = Generator["Event", Any, Any]
@@ -430,7 +444,7 @@ class Simulator:
         self._processes_spawned = 0
         self._ring_executed = 0
         #: Sanitizer checkers observing this engine (see
-        #: :mod:`repro.checkers`).  Only their engine-level hooks are
+        #: :mod:`repro.checkers`).  Only their ``on_event`` hooks are
         #: dispatched here; machine models wire the rest.
         from ..checkers.base import Checker
         self.checkers = tuple(checkers)
@@ -438,11 +452,6 @@ class Simulator:
             checker.on_event for checker in self.checkers
             if getattr(type(checker), "on_event", None)
             not in (None, Checker.on_event)
-        )
-        self._schedule_hooks = tuple(
-            checker.on_schedule for checker in self.checkers
-            if getattr(type(checker), "on_schedule", None)
-            not in (None, Checker.on_schedule)
         )
         #: The determinism checker (first checker exposing
         #: ``state_digest``), resolved once so :meth:`state_digest` is a
@@ -452,10 +461,10 @@ class Simulator:
             if getattr(checker, "state_digest", None) is not None:
                 self._determinism = checker
                 break
-        #: True when engine-level hooks are attached: the engine then
+        #: True when ``on_event`` hooks are attached: the engine then
         #: runs the legacy heap-only path so every action carries a real
         #: ``(time, seq)`` pair for the hooks.
-        self._instrumented = bool(self._event_hooks or self._schedule_hooks)
+        self._instrumented = bool(self._event_hooks)
         if not self._instrumented:
             # Shadow the hooked scheduling methods with the ring-aware
             # fast versions; instance attributes win over class methods.
@@ -515,8 +524,8 @@ class Simulator:
         # Hooked (legacy) path: every action goes through the heap with
         # a real sequence number.  Un-instrumented simulators shadow
         # this with :meth:`_schedule_fast` in ``__init__``.
-        for hook in self._schedule_hooks:
-            hook(at, self._now)
+        if at < self._now:
+            _past_schedule(at, self._now)
         self._sequence += 1
         heapq.heappush(self._queue, (at, self._sequence, action))
 
@@ -525,6 +534,8 @@ class Simulator:
             self._ring_scheduled += 1
             self._fifo.append(action)
         else:
+            if at < self._now:
+                _past_schedule(at, self._now)
             self._sequence += 1
             heapq.heappush(self._queue, (at, self._sequence, action))
 
@@ -611,20 +622,14 @@ class Simulator:
             while True:
                 if queue:
                     at = queue[0][0]
-                    if at <= now:
+                    if at <= now or not fifo:
                         if at < now:
-                            raise SimulationError(
-                                f"time went backwards: {at} < {now}"
-                            )
-                        action = heappop(queue)[2]
-                        executed += 1
-                        action()
-                        continue
-                    if not fifo:
-                        action = heappop(queue)[2]
+                            _time_went_backwards(at, now)
+                        entry = heappop(queue)
+                        _check_root(queue, entry, now)
                         now = self._now = at
                         executed += 1
-                        action()
+                        entry[2]()
                         continue
                 elif not fifo:
                     break
@@ -669,10 +674,10 @@ class Simulator:
                 self._ring_executed += 1
             else:
                 if at < now:
-                    raise SimulationError(
-                        f"time went backwards: {at} < {now}"
-                    )
-                action = heapq.heappop(queue)[2]
+                    _time_went_backwards(at, now)
+                entry = heapq.heappop(queue)
+                _check_root(queue, entry, now)
+                action = entry[2]
                 now = self._now = at
             self.events_executed += 1
             executed += 1
@@ -698,11 +703,9 @@ class Simulator:
                 raise WatchdogError(
                     self._now, executed, self._blocked, len(queue)
                 )
-            heapq.heappop(queue)
             if at < self._now:
-                raise SimulationError(
-                    f"time went backwards: {at} < {self._now}"
-                )
+                _time_went_backwards(at, self._now)
+            _check_root(queue, heapq.heappop(queue), self._now)
             self._now = at
             self.events_executed += 1
             executed += 1
@@ -715,6 +718,44 @@ class Simulator:
         if until is not None:
             self._now = max(self._now, until)
         return self._now
+
+
+# -- monotonicity violations --------------------------------------------------
+#
+# Every run loop checks each heap pop: the entry may not lie in the past,
+# and its (time, seq) key must sit strictly below the new heap root.  The
+# second check catches a duplicated or reordered heap entry at the pop
+# that exposes it; it compares two keys of the same heap, so it needs no
+# state across pops.  The raisers live out of line to keep the loops lean.
+
+def _past_schedule(at: int, now: int) -> None:
+    raise InvariantError(
+        "monotonicity", now,
+        f"action scheduled into the past: at={at} < now={now}",
+    )
+
+
+def _time_went_backwards(at: int, now: int) -> None:
+    raise InvariantError(
+        "monotonicity", now, f"time went backwards: {at} < {now}"
+    )
+
+
+def _order_regressed(entry: tuple, root: tuple, now: int) -> None:
+    raise InvariantError(
+        "monotonicity", now,
+        f"event order regressed: step (t={entry[0]}, seq={entry[1]}) "
+        f"popped with (t={root[0]}, seq={root[1]}) still at the heap root",
+    )
+
+
+def _check_root(queue: List, entry: tuple, now: int) -> None:
+    """Per-pop order check: ``entry`` was just popped from ``queue``."""
+    if queue:
+        root = queue[0]
+        if root[0] <= entry[0] and (root[0] < entry[0]
+                                    or root[1] <= entry[1]):
+            _order_regressed(entry, root, now)
 
 
 def all_of(sim: Simulator, events: List[Event]) -> Event:

@@ -93,7 +93,7 @@ class Resource(Acquirable):
             event.succeed(0)
         else:
             # Stash the request time on the event for wait accounting.
-            event.value = self.sim.now
+            event.value = self.sim._now
             self._waiters.append(event)
         return event
 
@@ -103,10 +103,11 @@ class Resource(Acquirable):
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._waiters:
             waiter = self._waiters.popleft()
+            now = self.sim._now
             if waiter.__class__ is int:
                 if waiter >= 0:
                     # Packed kernel waiter: (wait_start << PROC_BITS) | p.
-                    waited = self.sim.now - (waiter >> PROC_BITS)
+                    waited = now - (waiter >> PROC_BITS)
                     self.total_wait_ns += waited
                     self.grants += 1
                     self.sim._grant(waiter & PROC_MASK, waited)
@@ -116,12 +117,12 @@ class Resource(Acquirable):
                     # ~((wait_start << PROC_BITS) | opidx).  See
                     # SoaSimulator.flat_transmit.
                     packed = ~waiter
-                    waited = self.sim.now - (packed >> PROC_BITS)
+                    waited = now - (packed >> PROC_BITS)
                     self.total_wait_ns += waited
                     self.grants += 1
                     self.sim._flat_grant(packed & PROC_MASK)
             else:
-                waited = self.sim.now - waiter.value
+                waited = now - waiter.value
                 waiter.value = None
                 self.total_wait_ns += waited
                 self.grants += 1

@@ -66,12 +66,19 @@ Direct generator drive
     parked in ``Event._callbacks`` / ``Resource._waiters`` as plain
     ints and resumed via :meth:`SoaSimulator._advance`.
 
+Monotonicity is checked per pop, as on the object kernel: a popped
+heap key may not lie in the past and must sit strictly below the new
+heap root (keys are unique, so an equal root means a duplicated
+entry; the compare is between two keys of the same epoch, so it stays
+valid across compaction), and ``_heap_row`` refuses a time in the past.
+
 Kernel selection (see :func:`repro.engine.make_simulator`): the SoA
-kernel is the default un-instrumented engine; ``REPRO_ENGINE=object``
-or ``SystemConfig.engine_kernel`` forces the fallback, and simulators
-with engine-level checker hooks *always* run the object kernel so
-sanitizers observe real ``(time, seq)`` actions.  Both kernels execute
-identical event sequences -- same ``sim_events``, same results, same
+kernel is the default engine, checked runs included;
+``REPRO_ENGINE=object`` or ``SystemConfig.engine_kernel`` forces the
+fallback, and simulators with an ``on_event`` checker hook (the
+determinism digest) *always* run the object kernel so the hook
+observes real ``(time, seq)`` actions.  Both kernels execute identical
+event sequences -- same ``sim_events``, same results, same
 determinism digests -- which the parity tests pin.
 
 The loop is deliberately written in a compile-friendly style -- int
@@ -97,6 +104,9 @@ from .core import (
     Event,
     ProcessGenerator,
     Simulator,
+    _order_regressed,
+    _past_schedule,
+    _time_went_backwards,
     all_of,
 )
 
@@ -158,6 +168,13 @@ ROW_MASK = (1 << ROW_BITS) - 1
 DEFAULT_ROW_CAPACITY = 4096
 
 
+def _key_regressed(key: int, root: int, now: int) -> None:
+    """Raise for a popped heap key not strictly below the new root
+    (the row field is the key's sequence number)."""
+    _order_regressed((key >> ROW_BITS, key & ROW_MASK),
+                     (root >> ROW_BITS, root & ROW_MASK), now)
+
+
 class SoaProcess(Event):
     """Joinable shell of a process driven by the SoA kernel.
 
@@ -203,7 +220,7 @@ class SoaSimulator(Simulator):
         super().__init__(fail_fast=fail_fast, checkers=checkers)
         if self._instrumented:
             raise SimulationError(
-                "the SoA kernel cannot host engine-level checker hooks; "
+                "the SoA kernel cannot host on_event checker hooks; "
                 "instrumented simulators must run the object kernel "
                 "(use repro.engine.make_simulator)"
             )
@@ -278,6 +295,8 @@ class SoaSimulator(Simulator):
     def _heap_row(self, at: int, kind: int, target: int,
                   pay: Any = None) -> None:
         """Enqueue a future row on the packed-key heap (monotone rows)."""
+        if at < self._now:
+            _past_schedule(at, self._now)
         row = self._top
         if row == self._cap:
             self._compact()
@@ -1147,15 +1166,17 @@ class SoaSimulator(Simulator):
                     at = key >> ROW_BITS
                     if at <= now:
                         if at < now:
-                            raise SimulationError(
-                                f"time went backwards: {at} < {now}"
-                            )
+                            _time_went_backwards(at, now)
                         heappop(heap)
+                        if heap and heap[0] <= key:
+                            _key_regressed(key, heap[0], now)
                     elif ring:
                         e = ring_popleft()
                         ring_executed += 1
                     else:
                         heappop(heap)
+                        if heap and heap[0] <= key:
+                            _key_regressed(key, heap[0], now)
                         now = self._now = at
                 elif ring:
                     e = ring_popleft()
@@ -1423,10 +1444,10 @@ class SoaSimulator(Simulator):
                 self._execute_word(ring.popleft())
             else:
                 if at < now:
-                    raise SimulationError(
-                        f"time went backwards: {at} < {now}"
-                    )
+                    _time_went_backwards(at, now)
                 heapq.heappop(heap)
+                if heap and heap[0] <= key:
+                    _key_regressed(key, heap[0], now)
                 now = self._now = at
                 row = key & ROW_MASK
                 free.append(row)

@@ -87,7 +87,7 @@ class ReliableTransport:
         sim = self.fabric.sim
         policy = self.policy
         arq_checkers = self._arq_checkers
-        start = sim.now
+        start = sim._now
         channel = (message.src, message.dst)
         self._next_seq[channel] = self._next_seq.get(channel, 0) + 1
         delivered = False
@@ -101,7 +101,7 @@ class ReliableTransport:
             if result.delivered:
                 for checker in arq_checkers:
                     checker.on_app_delivery(
-                        sim.now, message.src, message.dst, delivered
+                        sim._now, message.src, message.dst, delivered
                     )
                 if delivered:
                     # A retransmission racing a lost ack: the receiver
@@ -120,18 +120,18 @@ class ReliableTransport:
                 if ack_result.delivered:
                     for checker in arq_checkers:
                         checker.on_logical_complete(
-                            sim.now, message.src, message.dst
+                            sim._now, message.src, message.dst
                         )
                     break
                 self.acks_lost += 1
             failed_attempts += 1
             if failed_attempts > policy.max_retries:
                 raise RetryLimitError(
-                    message.src, message.dst, failed_attempts, sim.now
+                    message.src, message.dst, failed_attempts, sim._now
                 )
             self.retransmissions += 1
             yield policy.backoff_ns(failed_attempts)
-        elapsed = sim.now - start
+        elapsed = sim._now - start
         retry_ns = max(0, elapsed - base_latency - base_contention)
         return TransferResult(
             latency_ns=base_latency,

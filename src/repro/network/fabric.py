@@ -161,69 +161,69 @@ class Fabric:
     def links(self) -> List[Link]:
         return list(self._links.values())
 
-    def transmission_ns(self, nbytes: int) -> int:
-        """Contention-free time for a message of ``nbytes``."""
-        return nbytes * self.ns_per_byte
-
     def transmit(self, message: Message):
         """Generator: move ``message`` across the network.
 
         Returns a :class:`TransferResult`.  A message to self costs
         nothing (local memory is not behind the network).
         """
-        if message.src == message.dst:
+        src = message.src
+        dst = message.dst
+        if src == dst:
             return TransferResult(0, 0)
         sim = self.sim
         injector = self.injector
-        start = sim.now
+        start = sim._now
         fault_ns = 0
         fate = None
         if injector is not None:
             # A stalled sender cannot inject until its window closes.
-            stall = injector.stall_ns(message.src, sim.now)
+            stall = injector.stall_ns(src, start)
             if stall:
                 fault_ns += stall
                 yield stall
-            fate = injector.fate(message.src, message.dst, sim.now)
+            fate = injector.fate(src, dst, sim._now)
         pre_circuit_fault = fault_ns
-        path = self._route(message.src, message.dst)
-        held: List[Link] = []
+        path = self._route_links[src * self._nprocs + dst]
         switch_ns = self.switch_delay_ns
         # Build the circuit: acquire links in path order, paying the
         # per-hop switching delay while the circuit extends.
         for link in path:
             yield link.request()
-            if injector is not None and link.is_failed(sim.now):
+            if link.fail_windows and link.is_failed(sim._now):
                 # The circuit head reached a dead link: the worm is
-                # lost and the partial circuit torn down.
+                # lost and the partial circuit torn down.  (Only fault
+                # injection assigns failure windows.)
                 link.release()
-                for upstream in held:
+                for upstream in path[:path.index(link)]:
                     upstream.release()
                 injector.window_drops += 1
                 self.messages += 1
-                if self._message_hooks:
-                    for hook in self._message_hooks:
-                        hook(sim.now, message.src, message.dst,
-                             message.kind, message.nbytes, False)
+                now = sim._now
+                for hook in self._message_hooks:
+                    hook(now, src, dst, message.kind, message.nbytes, False)
                 return TransferResult(
                     latency_ns=0,
-                    contention_ns=max(0, sim.now - start - fault_ns),
+                    contention_ns=max(0, now - start - fault_ns),
                     delivered=False,
                     fault_ns=fault_ns,
                 )
-            held.append(link)
             if switch_ns:
                 yield switch_ns
-        circuit_done = sim.now
-        transmit_ns = self.transmission_ns(message.nbytes)
+        circuit_done = sim._now
+        nbytes = message.nbytes
+        transmit_ns = nbytes * self.ns_per_byte
         yield transmit_ns
-        for link in held:
-            link.record_transfer(message.nbytes, sim.now - circuit_done)
+        held_ns = sim._now - circuit_done
+        for link in path:
+            link.messages += 1
+            link.bytes_carried += nbytes
+            link.busy_ns += held_ns
             link.release()
         if fate is not None:
             # Fault-injected delay plus a stalled receiver's ejection
             # wait; both are recovery time, not latency or contention.
-            post = fate.delay_ns + injector.stall_ns(message.dst, sim.now)
+            post = fate.delay_ns + injector.stall_ns(dst, sim._now)
             if post:
                 fault_ns += post
                 yield post
@@ -234,24 +234,20 @@ class Fabric:
         contention = (circuit_done - start - pre_circuit_fault) - \
             switch_ns * len(path)
         self.messages += 1
-        self.bytes_transported += message.nbytes
+        self.bytes_transported += nbytes
         self.total_latency_ns += latency
         self.total_contention_ns += contention
         delivered = fate is None or fate.delivered
         if self._message_hooks:
+            now = sim._now
             for hook in self._message_hooks:
-                hook(sim.now, message.src, message.dst,
-                     message.kind, message.nbytes, delivered)
+                hook(now, src, dst, message.kind, nbytes, delivered)
         return TransferResult(
             latency_ns=latency,
             contention_ns=contention,
             delivered=delivered,
             fault_ns=fault_ns,
         )
-
-    def _route(self, src: int, dst: int) -> Tuple[Link, ...]:
-        """The deterministic route as a pre-resolved tuple of Links."""
-        return self._route_links[src * self._nprocs + dst]
 
     def _transmit_plain(self, message: Message):
         """Generator: ``transmit`` specialized for the fault-free,

@@ -33,12 +33,6 @@ class Link(Resource):
         #: (tuple of :class:`~repro.faults.config.LinkFailure`).
         self.fail_windows = ()
 
-    def record_transfer(self, nbytes: int, held_ns: int) -> None:
-        """Account one completed transfer over this link."""
-        self.messages += 1
-        self.bytes_carried += nbytes
-        self.busy_ns += held_ns
-
     def is_failed(self, now: int) -> bool:
         """True while a transient failure window covers ``now``."""
         if not self.fail_windows:

@@ -1,8 +1,6 @@
 """The runtime sanitizer: each checker fires on a seeded violation,
 clean runs report clean, and checking never perturbs the simulation."""
 
-import heapq
-
 import pytest
 
 from repro import FaultConfig, SystemConfig, make_app, simulate
@@ -19,7 +17,13 @@ from repro.checkers import (
 from repro.core.accounting import RunResult
 from repro.core.coherence import CoherentMemory
 from repro.core.runner import simulate_full
-from repro.engine.core import Simulator
+from repro.engine import (
+    CompiledSimulator,
+    HAVE_EXTENSION,
+    Simulator,
+    SoaSimulator,
+    resolve_kernel,
+)
 from repro.errors import InvariantError
 from repro.memory.address import AddressSpace
 
@@ -100,32 +104,61 @@ def test_coherence_checker_runs_on_cached_machines_only():
 # -- mutation tests: every checker fires on a seeded violation ----------------------
 
 
-def test_monotonicity_checker_fires_on_past_schedule():
-    sim = Simulator(checkers=(MonotonicityChecker(),))
-    with pytest.raises(InvariantError, match="monotonicity"):
-        sim._schedule(-1, lambda: None)
+def _kernel_params():
+    compiled_missing = pytest.mark.skipif(
+        not HAVE_EXTENSION, reason="_csoa extension not built"
+    )
+    return [
+        pytest.param(Simulator, id="object"),
+        pytest.param(
+            lambda: Simulator(checkers=(DeterminismChecker(),)),
+            id="object-hooked",
+        ),
+        pytest.param(SoaSimulator, id="soa"),
+        pytest.param(CompiledSimulator, id="compiled",
+                     marks=compiled_missing),
+    ]
 
 
-class _Action:
-    """Callable that tolerates heap tie-breaking comparisons."""
-
-    def __call__(self):
-        pass
-
-    def __lt__(self, _other):
-        return False
+#: Both run entry points: the unbounded loop (the C loop on the
+#: compiled kernel) and the guarded loop behind ``max_events``.
+RUN_LOOPS = {
+    "fast": lambda sim: sim.run(),
+    "guarded": lambda sim: sim.run(max_events=10**6),
+}
 
 
-def test_monotonicity_checker_fires_on_replayed_heap_entry():
-    checker = MonotonicityChecker()
-    sim = Simulator(checkers=(checker,))
-    # Two identical (time, sequence) keys cannot come from _schedule;
-    # seeding them directly simulates heap corruption.
-    action = _Action()
-    heapq.heappush(sim._queue, (0, 7, action))
-    heapq.heappush(sim._queue, (0, 7, action))
-    with pytest.raises(InvariantError, match="monotonicity"):
-        sim.run()
+@pytest.mark.parametrize("loop", sorted(RUN_LOOPS))
+@pytest.mark.parametrize("kernel", _kernel_params())
+def test_monotonicity_checker_fires_on_past_schedule(kernel, loop):
+    sim = kernel()
+
+    def meddler():
+        yield 10
+        sim._schedule(sim.now - 1, lambda: None)
+        yield 1
+
+    sim.spawn(meddler())
+    # Refused at the push, before the pop-time check could see it.
+    with pytest.raises(InvariantError,
+                       match="monotonicity.*scheduled into the past"):
+        RUN_LOOPS[loop](sim)
+
+
+@pytest.mark.parametrize("loop", sorted(RUN_LOOPS))
+@pytest.mark.parametrize("kernel", _kernel_params())
+def test_monotonicity_checker_fires_on_replayed_heap_entry(kernel, loop):
+    sim = kernel()
+    ran = []
+    sim._schedule(5, lambda: ran.append(sim.now))
+    # A duplicated heap key cannot come from _schedule; copying the
+    # root keeps the list a valid heap and simulates heap corruption.
+    heap = sim._heap if isinstance(sim, SoaSimulator) else sim._queue
+    heap.append(heap[0])
+    with pytest.raises(InvariantError,
+                       match="monotonicity.*event order regressed"):
+        RUN_LOOPS[loop](sim)
+    assert ran == []  # caught at the first pop, before the action ran
 
 
 def _coherent_memory(check="basic"):
@@ -246,12 +279,39 @@ def test_check_levels_do_not_perturb_results(machine):
         data.pop("wall_seconds")
         data.pop("check_report")
         # Engine metadata records *how* the run executed, and check
-        # levels legitimately change that (hooked levels force the
-        # object kernel's heap-only instrumented loop): only the
-        # kernel-dispatch split moves, never what was simulated.
+        # levels legitimately change that (the strict level's digest
+        # forces the object kernel's heap-only instrumented loop): only
+        # the kernel-dispatch split moves, never what was simulated.
         data.pop("engine")
         outcomes[check] = data
     assert outcomes["off"] == outcomes["basic"] == outcomes["strict"]
+
+
+def _comparable(result):
+    data = result.to_dict()
+    for key in ("wall_seconds", "engine", "check_report"):
+        data.pop(key)
+    return data
+
+
+@pytest.mark.parametrize("fault", [None, FAULT], ids=["clean", "faulty"])
+@pytest.mark.parametrize("machine", ("target", "logp", "clogp"))
+def test_basic_check_runs_on_the_fast_kernel(machine, fault):
+    """No basic-level checker forces the object kernel any more."""
+    off = _checked_run(machine, check="off", fault=fault)
+    basic = _checked_run(machine, check="basic", fault=fault)
+    assert basic.engine["kernel"] == resolve_kernel("auto")
+    assert _comparable(basic) == _comparable(off)
+    monotonicity = next(
+        r for r in basic.check_report.results if r.name == "monotonicity"
+    )
+    assert monotonicity.checks == basic.sim_events > 0
+
+
+def test_determinism_digest_still_forces_the_object_kernel():
+    strict = _checked_run("target", check="strict")
+    digest = _checked_run("target", check="off", digest=True)
+    assert strict.engine["kernel"] == digest.engine["kernel"] == "object"
 
 
 def test_digest_is_independent_of_check_level():
@@ -269,7 +329,6 @@ def test_check_off_attaches_no_hooks():
     _result, machine = simulate_full(tiny_app("ep", 4), "target", config)
     assert machine.checkers is None
     assert machine.sim._event_hooks == ()
-    assert machine.sim._schedule_hooks == ()
     assert machine.fabric._message_hooks == ()
     assert machine.memory._transition_hooks == ()
 
@@ -300,8 +359,8 @@ def test_checker_set_precomputes_hook_tuples():
                   CoherenceChecker(), ExactlyOnceChecker(),
                   DeterminismChecker()]
     )
-    assert len(checkers.event_hooks) == 2       # monotonicity + determinism
-    assert len(checkers.schedule_hooks) == 1    # monotonicity
+    assert len(checkers.event_hooks) == 1       # determinism
+    assert not hasattr(checkers, "schedule_hooks")
     assert len(checkers.message_hooks) == 2     # conservation + determinism
     assert len(checkers.transition_hooks) == 1  # coherence
     assert len(checkers.arq_checkers) == 1      # exactly-once

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.engine import Simulator
+from repro import FaultConfig, LinkFailure
+from repro.checkers import Checker, CheckerSet
+from repro.engine import RandomStreams, Simulator
 from repro.errors import TopologyError
+from repro.faults.injector import FaultInjector
 from repro.network import Fabric, Message, make_topology
 
 NS_PER_BYTE = 50
@@ -196,3 +199,68 @@ def test_zero_switch_delay_matches_paper_assumption():
     fabric2 = Fabric(sim2, make_topology("mesh", 16), NS_PER_BYTE)
     [(_, _, near)] = run_transfers(sim2, fabric2, [Message(0, 1, 32)])
     assert far.latency_ns == near.latency_ns  # hop-count independent
+
+
+# -- the general transfer path (faults or message hooks) ---------------------
+
+
+class _MessageLog(Checker):
+    """Records every finished message transport."""
+
+    name = "message-log"
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def on_message(self, now, src, dst, kind, nbytes, delivered):
+        self.seen.append((now, src, dst, kind, nbytes, delivered))
+
+
+def test_failed_link_tears_down_the_whole_partial_circuit():
+    # 0 -> 15 in a 4x4 mesh crosses six links; the fifth is dead, so the
+    # worm holds four upstream links when its head reaches it.
+    topology = make_topology("mesh", 16)
+    fault = FaultConfig(link_failures=(LinkFailure(7, 11, 0, 10**9),))
+    injector = FaultInjector(fault, RandomStreams(3), topology=topology)
+    sim = Simulator()
+    fabric = Fabric(sim, topology, NS_PER_BYTE, injector=injector)
+    [(_, _, result)] = run_transfers(sim, fabric, [Message(0, 15, 32)])
+    assert not result.delivered
+    assert injector.window_drops == 1
+    assert fabric.messages == 1
+    route = fabric._route_links[15]
+    assert len(route) == 6
+    assert all(link.in_use == 0 for link in route)
+    # Nothing was carried: the circuit never completed.
+    assert all(link.messages == 0 for link in route)
+
+
+def test_hooked_general_path_accounts_like_the_plain_path():
+    # Contended traffic over shared mesh links, with staggered starts.
+    messages = [Message(0, 15, 32), Message(1, 15, 8), Message(4, 14, 32),
+                Message(0, 3, 8), Message(5, 6, 32), Message(2, 11, 8)]
+    starts = [0, 0, 100, 0, 250, 400]
+    sim = Simulator()
+    plain = Fabric(sim, make_topology("mesh", 16), NS_PER_BYTE)
+    plain_out = run_transfers(sim, plain, messages, starts)
+    log = _MessageLog()
+    sim = Simulator()
+    hooked = Fabric(sim, make_topology("mesh", 16), NS_PER_BYTE,
+                    checkers=CheckerSet("basic", [log]))
+    hooked_out = run_transfers(sim, hooked, messages, starts)
+    assert plain.is_plain and not hooked.is_plain
+    assert plain.total_contention_ns > 0  # the traffic really contends
+    assert [(b, e, r.latency_ns, r.contention_ns, r.delivered)
+            for b, e, r in hooked_out] == [
+        (b, e, r.latency_ns, r.contention_ns, r.delivered)
+        for b, e, r in plain_out]
+    for a, b in zip(plain.links, hooked.links):
+        assert (a.messages, a.bytes_carried, a.busy_ns, a.in_use,
+                a.total_wait_ns) == (b.messages, b.bytes_carried,
+                                     b.busy_ns, b.in_use, b.total_wait_ns)
+    assert (plain.messages, plain.bytes_transported, plain.total_latency_ns,
+            plain.total_contention_ns) == (
+        hooked.messages, hooked.bytes_transported, hooked.total_latency_ns,
+        hooked.total_contention_ns)
+    assert len(log.seen) == len(messages)
