@@ -325,11 +325,11 @@ class CoherentMemory:
         :raises ProtocolError: any invariant is violated.
         """
         entry = self.directory.peek(block)
-        holders = [
-            (pid, cache.state_of(block))
-            for pid, cache in enumerate(self.caches)
-            if cache.contains(block)
-        ]
+        holders = []
+        for pid, cache in enumerate(self.caches):
+            line = cache._by_block.get(block)
+            if line is not None:
+                holders.append((pid, line.state))
         if entry is None:
             if holders:
                 raise ProtocolError(
@@ -366,11 +366,15 @@ class CoherentMemory:
             raise ProtocolError(
                 f"block {block}: directory owner {entry.owner} owns nothing"
             )
-        for pid in entry.sharers:
-            if not self.caches[pid].contains(block):
-                raise ProtocolError(
-                    f"block {block}: sharer {pid} holds no line"
-                )
+        if len(entry.sharers) != len(holders):
+            # Every holder is a sharer (checked above), so some sharer
+            # holds no line.
+            held = [pid for pid, _state in holders]
+            for pid in entry.sharers:
+                if pid not in held:
+                    raise ProtocolError(
+                        f"block {block}: sharer {pid} holds no line"
+                    )
 
     def check_invariants(self) -> None:
         """Raise :class:`ProtocolError` on any coherence inconsistency."""

@@ -216,6 +216,8 @@ class LogPNetwork:
         from ..errors import RetryLimitError
 
         injector = self.injector
+        # No node stalls configured: skip the two lookups per attempt.
+        stalls = injector.fault.node_stalls
         policy = self.retry_policy
         message_hooks = self._message_hooks
         arq_checkers = self._arq_checkers
@@ -230,7 +232,7 @@ class LogPNetwork:
         for checker in arq_checkers:
             checker.on_logical_send(begin, src, dst)
         while True:
-            send_stall = injector.stall_ns(src, now)
+            send_stall = injector.stall_ns(src, now) if stalls else 0
             fate = injector.fate(src, dst, now + send_stall, check_route=True)
             sent = self._gate_send(src, now + send_stall)
             self.messages += 1
@@ -242,7 +244,9 @@ class LogPNetwork:
                         hook(failure_at, src, dst, "logp", 0, False)
             else:
                 arrived = sent + L + fate.delay_ns
-                recv_stall = injector.stall_ns(dst, arrived)
+                recv_stall = (
+                    injector.stall_ns(dst, arrived) if stalls else 0
+                )
                 received = self._gate_recv(dst, arrived + recv_stall)
                 if fate.corrupted:
                     # Checksum failure at the receiver: no ack follows.

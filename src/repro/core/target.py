@@ -50,8 +50,8 @@ class TargetMachine(Machine):
         if self.fault_injector is not None:
             self.reliable = ReliableTransport(
                 self.fabric,
-                self.fault_injector,
                 RetryPolicy.from_fault(config.fault),
+                self.record_retry,
                 ack_bytes=config.control_message_bytes,
                 checkers=self.checkers,
             )
@@ -70,10 +70,6 @@ class TargetMachine(Machine):
         self._hit_ns = config.cache_hit_ns
         self._mem_ns = config.memory_ns
         self._caches = self.memory.caches
-        if self.reliable is None:
-            # Fault-free: skip the retry-banking wrapper generator --
-            # ``_net_transmit(pid, msg)`` then IS ``fabric.transmit(msg)``.
-            self._net_transmit = self._net_transmit_plain
         #: Contention-free transmission times of the two message sizes.
         self._ctrl_ns = self._ctrl * self.fabric.ns_per_byte
         self._data_ns = self._data * self.fabric.ns_per_byte
@@ -131,28 +127,16 @@ class TargetMachine(Machine):
             else:
                 self._spawn_inv = self._spawn_inv_gen
         else:
-            self._net_lat = self._lat_general
+            # General fabric: one transport frame per message -- the ARQ
+            # generator under faults, else the fabric's own.
+            self._net_lat = (
+                self.reliable.send if self.reliable is not None
+                else self._lat_fabric
+            )
             self._read_tx = self._read_transaction
             self._write_tx = self._write_transaction
             self._inv_round = self._invalidation_round
             self._spawn_inv = self._spawn_inv_gen
-
-    def _net_transmit(self, pid: int, message: Message):
-        """Generator: transmit on behalf of processor ``pid``.
-
-        Routes through the reliable-delivery layer when faults are
-        enabled, banking its recovery time against ``pid``'s retry
-        bucket; otherwise this is exactly ``fabric.transmit``.
-        """
-        result = yield from self.reliable.transmit(message)
-        if result.retry_ns:
-            self.record_retry(pid, result.retry_ns)
-        return result
-
-    def _net_transmit_plain(self, pid: int, message: Message):
-        # Returns the fabric's generator directly: ``yield from`` at the
-        # call sites delegates to it with no wrapper frame in between.
-        return self.fabric.transmit(message)
 
     def _lat_fast(self, pid: int, src: int, dst: int, nbytes: int,
                   kind: str):
@@ -162,15 +146,11 @@ class TargetMachine(Machine):
         # fabric has no retry banking and no message hooks.
         return self.fabric.transmit_fast(src, dst, nbytes)
 
-    def _lat_general(self, pid: int, src: int, dst: int, nbytes: int,
-                     kind: str):
-        """Generator twin of :meth:`_lat_fast` for the general fabric
-        (faults, hooks, or switching delay): full Message transfer,
-        returning only the latency split the transactions charge."""
-        result = yield from self._net_transmit(
-            pid, Message(src, dst, nbytes, kind)
-        )
-        return result.latency_ns
+    def _lat_fabric(self, pid: int, src: int, dst: int, nbytes: int,
+                    kind: str):
+        # The general fabric's generator, returned directly (fault-free:
+        # no retry time to bank for ``pid``).
+        return self.fabric.send(src, dst, nbytes, kind)
 
     # -- memory interface ---------------------------------------------------------
 

@@ -18,11 +18,9 @@ reported as ``retry_ns``, which the machine models charge to the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
 from ..errors import RetryLimitError
 from ..network.fabric import TransferResult
-from ..network.message import Message
 
 
 @dataclass(frozen=True)
@@ -48,13 +46,18 @@ class RetryPolicy:
 
 
 class ReliableTransport:
-    """ARQ sender over a :class:`~repro.network.fabric.Fabric`."""
+    """ARQ sender over a :class:`~repro.network.fabric.Fabric`.
 
-    def __init__(self, fabric, injector, policy: RetryPolicy,
+    ``record_retry(pid, retry_ns)`` banks each exchange's recovery time
+    against the processor on whose behalf it ran (the machine's
+    :meth:`~repro.core.machine.Machine.record_retry`).
+    """
+
+    def __init__(self, fabric, policy: RetryPolicy, record_retry,
                  ack_bytes: int = 8, checkers=None):
         self.fabric = fabric
-        self.injector = injector
         self.policy = policy
+        self.record_retry = record_retry
         self.ack_bytes = ack_bytes
         #: Sanitizer checkers observing the ARQ exchange lifecycle
         #: (empty tuple when unchecked).  Raw fabric messages are
@@ -64,7 +67,6 @@ class ReliableTransport:
         self._arq_checkers = (
             checkers.arq_checkers if checkers is not None else ()
         )
-        self._next_seq: Dict[Tuple[int, int], int] = {}
         #: Retransmitted data messages (instrumentation).
         self.retransmissions = 0
         #: Acks transmitted by receivers.
@@ -74,68 +76,58 @@ class ReliableTransport:
         #: Duplicate data deliveries suppressed by the receiver.
         self.duplicates_suppressed = 0
 
-    def transmit(self, message: Message):
-        """Generator: deliver ``message`` reliably.
+    def send(self, pid: int, src: int, dst: int, nbytes: int, kind: str):
+        """Generator: deliver one message reliably on behalf of ``pid``.
 
-        Returns a :class:`~repro.network.fabric.TransferResult` whose
-        latency/contention are those of the first successful delivery
-        and whose ``retry_ns`` is every other nanosecond the exchange
-        took.
+        Returns the latency of the first successful delivery.  Every
+        other nanosecond the exchange took beyond that delivery's
+        latency and contention is banked through ``record_retry``.
 
         :raises RetryLimitError: the retry cap was exhausted.
         """
-        sim = self.fabric.sim
+        fabric = self.fabric
+        sim = fabric.sim
         policy = self.policy
         arq_checkers = self._arq_checkers
         start = sim._now
-        channel = (message.src, message.dst)
-        self._next_seq[channel] = self._next_seq.get(channel, 0) + 1
+        # One receipt per logical message, refilled by every transfer.
+        result = TransferResult(0, 0)
         delivered = False
-        base_latency = 0
-        base_contention = 0
+        latency = 0
+        network_ns = 0
         failed_attempts = 0
         for checker in arq_checkers:
-            checker.on_logical_send(start, message.src, message.dst)
+            checker.on_logical_send(start, src, dst)
         while True:
-            result = yield from self.fabric.transmit(message)
+            attempt_latency = yield from fabric.send(
+                src, dst, nbytes, kind, result
+            )
             if result.delivered:
                 for checker in arq_checkers:
-                    checker.on_app_delivery(
-                        sim._now, message.src, message.dst, delivered
-                    )
+                    checker.on_app_delivery(sim._now, src, dst, delivered)
                 if delivered:
                     # A retransmission racing a lost ack: the receiver
                     # recognizes the sequence number and discards it.
                     self.duplicates_suppressed += 1
                 else:
                     delivered = True
-                    base_latency = result.latency_ns
-                    base_contention = result.contention_ns
+                    latency = attempt_latency
+                    network_ns = attempt_latency + result.contention_ns
                 # The receiver (re-)acks every intact copy it sees.
-                ack = Message(
-                    message.dst, message.src, self.ack_bytes, "ack"
-                )
-                ack_result = yield from self.fabric.transmit(ack)
+                yield from fabric.send(dst, src, self.ack_bytes, "ack",
+                                       result)
                 self.acks_sent += 1
-                if ack_result.delivered:
+                if result.delivered:
                     for checker in arq_checkers:
-                        checker.on_logical_complete(
-                            sim._now, message.src, message.dst
-                        )
+                        checker.on_logical_complete(sim._now, src, dst)
                     break
                 self.acks_lost += 1
             failed_attempts += 1
             if failed_attempts > policy.max_retries:
-                raise RetryLimitError(
-                    message.src, message.dst, failed_attempts, sim._now
-                )
+                raise RetryLimitError(src, dst, failed_attempts, sim._now)
             self.retransmissions += 1
             yield policy.backoff_ns(failed_attempts)
-        elapsed = sim._now - start
-        retry_ns = max(0, elapsed - base_latency - base_contention)
-        return TransferResult(
-            latency_ns=base_latency,
-            contention_ns=base_contention,
-            retry_ns=retry_ns,
-            attempts=failed_attempts + 1,
-        )
+        retry_ns = sim._now - start - network_ns
+        if retry_ns > 0:
+            self.record_retry(pid, retry_ns)
+        return latency

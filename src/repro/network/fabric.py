@@ -36,8 +36,7 @@ from .topology import LinkId, Topology
 class TransferResult:
     """Timing decomposition of one completed message transfer.
 
-    A plain ``__slots__`` value class (one is allocated per transported
-    message, so its constructor is hot):
+    A plain ``__slots__`` value class:
 
     * ``latency_ns`` -- contention-free transmission time (charged to
       latency overhead),
@@ -45,27 +44,19 @@ class TransferResult:
       contention overhead),
     * ``delivered`` -- did the payload arrive intact?  Always True on a
       fault-free fabric; with fault injection a dropped or corrupted
-      message still occupies the network but delivers nothing,
-    * ``fault_ns`` -- fault-injected time (stalls, extra delays) spent
-      by this transfer, excluded from both latency and contention so
-      the reliable-delivery layer can charge it to retry overhead,
-    * ``retry_ns`` -- reliable-delivery recovery time (set by the retry
-      layer only),
-    * ``attempts`` -- transmission attempts this result summarizes.
+      message still occupies the network but delivers nothing.
+
+    Fault-injected time (stalls, extra delays) is in neither split: the
+    reliable-delivery layer charges it to retry overhead.
     """
 
-    __slots__ = ("latency_ns", "contention_ns", "delivered", "fault_ns",
-                 "retry_ns", "attempts")
+    __slots__ = ("latency_ns", "contention_ns", "delivered")
 
     def __init__(self, latency_ns: int, contention_ns: int,
-                 delivered: bool = True, fault_ns: int = 0,
-                 retry_ns: int = 0, attempts: int = 1):
+                 delivered: bool = True):
         self.latency_ns = latency_ns
         self.contention_ns = contention_ns
         self.delivered = delivered
-        self.fault_ns = fault_ns
-        self.retry_ns = retry_ns
-        self.attempts = attempts
 
     @property
     def total_ns(self) -> int:
@@ -75,8 +66,7 @@ class TransferResult:
         return (
             f"TransferResult(latency_ns={self.latency_ns}, "
             f"contention_ns={self.contention_ns}, "
-            f"delivered={self.delivered}, fault_ns={self.fault_ns}, "
-            f"retry_ns={self.retry_ns}, attempts={self.attempts})"
+            f"delivered={self.delivered})"
         )
 
 
@@ -122,11 +112,16 @@ class Fabric:
                         links[link_id]
                         for link_id in topology.route(src, dst)
                     )
+        #: ``injector.stall_ns``, or None when the config has no node
+        #: stalls (the per-message stall lookups are skipped).
+        self._stall_ns = None
         if injector is not None:
             for window in injector.fault.link_failures:
                 link = self._links.get((window.src, window.dst))
                 if link is not None:
                     link.fail_windows = link.fail_windows + (window,)
+            if injector.fault.node_stalls:
+                self._stall_ns = injector.stall_ns
         #: True when the lean transfer path is active (fault-free,
         #: hook-free, zero switching delay).  Machines key their own
         #: fast paths off this flag (see ``TargetMachine._net_lat``).
@@ -134,11 +129,6 @@ class Fabric:
             injector is None and switch_delay_ns == 0
             and not self._message_hooks
         )
-        if self.is_plain:
-            # Shadow the general transfer protocol with the lean path.
-            # The event sequence (one grant per link, one transmission
-            # timeout) is identical; only per-message host work differs.
-            self.transmit = self._transmit_plain
         #: Total messages transported.
         self.messages = 0
         #: Total payload bytes transported.
@@ -164,32 +154,61 @@ class Fabric:
     def transmit(self, message: Message):
         """Generator: move ``message`` across the network.
 
-        Returns a :class:`TransferResult`.  A message to self costs
-        nothing (local memory is not behind the network).
+        Returns a :class:`TransferResult`.  The Message-based entry for
+        tests and tools; machine models call :meth:`send` (general
+        fabric) or :meth:`transmit_fast` (plain fabric), which return
+        the latency alone.
         """
-        src = message.src
-        dst = message.dst
+        result = TransferResult(0, 0)
+        if self.is_plain:
+            start = self.sim._now
+            result.latency_ns = yield from self.transmit_fast(
+                message.src, message.dst, message.nbytes
+            )
+            result.contention_ns = (
+                self.sim._now - start - result.latency_ns
+            )
+        else:
+            yield from self.send(message.src, message.dst, message.nbytes,
+                                 message.kind, result)
+        return result
+
+    def send(self, src: int, dst: int, nbytes: int, kind: str,
+             result: Optional[TransferResult] = None):
+        """Generator: move one message across the general fabric
+        (faults, message hooks, or switching delay).
+
+        Returns the latency split (the contention-free transfer time);
+        when ``result`` is given, it is also filled with the contention
+        split and the delivered flag -- the reliable-delivery layer
+        passes one per logical message.  A message to self costs
+        nothing and leaves ``result`` untouched (local memory is not
+        behind the network).
+        """
         if src == dst:
-            return TransferResult(0, 0)
+            return 0
         sim = self.sim
         injector = self.injector
+        stall_ns = self._stall_ns
         start = sim._now
-        fault_ns = 0
+        pre_circuit_fault = 0
         fate = None
         if injector is not None:
-            # A stalled sender cannot inject until its window closes.
-            stall = injector.stall_ns(src, start)
-            if stall:
-                fault_ns += stall
-                yield stall
+            if stall_ns is not None:
+                # A stalled sender cannot inject until its window closes.
+                pre_circuit_fault = stall_ns(src, start)
+                if pre_circuit_fault:
+                    yield pre_circuit_fault
             fate = injector.fate(src, dst, sim._now)
-        pre_circuit_fault = fault_ns
         path = self._route_links[src * self._nprocs + dst]
         switch_ns = self.switch_delay_ns
         # Build the circuit: acquire links in path order, paying the
         # per-hop switching delay while the circuit extends.
         for link in path:
-            yield link.request()
+            # Kernel-resolved grant: no grant Event on any kernel when
+            # the link is free, a packed int waiter on the SoA kernels
+            # when it is busy.
+            yield link
             if link.fail_windows and link.is_failed(sim._now):
                 # The circuit head reached a dead link: the worm is
                 # lost and the partial circuit torn down.  (Only fault
@@ -201,17 +220,15 @@ class Fabric:
                 self.messages += 1
                 now = sim._now
                 for hook in self._message_hooks:
-                    hook(now, src, dst, message.kind, message.nbytes, False)
-                return TransferResult(
-                    latency_ns=0,
-                    contention_ns=max(0, now - start - fault_ns),
-                    delivered=False,
-                    fault_ns=fault_ns,
-                )
+                    hook(now, src, dst, kind, nbytes, False)
+                if result is not None:
+                    result.latency_ns = 0
+                    result.contention_ns = now - start - pre_circuit_fault
+                    result.delivered = False
+                return 0
             if switch_ns:
                 yield switch_ns
         circuit_done = sim._now
-        nbytes = message.nbytes
         transmit_ns = nbytes * self.ns_per_byte
         yield transmit_ns
         held_ns = sim._now - circuit_done
@@ -223,9 +240,10 @@ class Fabric:
         if fate is not None:
             # Fault-injected delay plus a stalled receiver's ejection
             # wait; both are recovery time, not latency or contention.
-            post = fate.delay_ns + injector.stall_ns(dst, sim._now)
+            post = fate.delay_ns
+            if stall_ns is not None:
+                post += stall_ns(dst, sim._now)
             if post:
-                fault_ns += post
                 yield post
         # Contention-free, the message would have taken the switching
         # delays plus the serial transmission; anything beyond that was
@@ -241,64 +259,26 @@ class Fabric:
         if self._message_hooks:
             now = sim._now
             for hook in self._message_hooks:
-                hook(now, src, dst, message.kind, nbytes, delivered)
-        return TransferResult(
-            latency_ns=latency,
-            contention_ns=contention,
-            delivered=delivered,
-            fault_ns=fault_ns,
-        )
-
-    def _transmit_plain(self, message: Message):
-        """Generator: ``transmit`` specialized for the fault-free,
-        hook-free, zero-switch-delay fabric (the common case).
-
-        Yields the exact event sequence of the general path -- one link
-        grant per hop in path order, then one transmission timeout -- so
-        simulated results are bit-identical; it only strips per-message
-        host-side work (injector branches, hook dispatch, held-list
-        bookkeeping).
-        """
-        src = message.src
-        dst = message.dst
-        if src == dst:
-            return TransferResult(0, 0)
-        sim = self.sim
-        start = sim._now
-        path = self._route_links[src * self._nprocs + dst]
-        for link in path:
-            # Kernel-resolved grant: the engine inlines try_acquire on
-            # the free case and parks a packed int waiter on the busy
-            # case -- no Event allocation either way on the SoA kernel.
-            yield link
-        circuit_done = sim._now
-        nbytes = message.nbytes
-        transmit_ns = nbytes * self.ns_per_byte
-        yield transmit_ns
-        held_ns = sim._now - circuit_done
-        for link in path:
-            link.messages += 1
-            link.bytes_carried += nbytes
-            link.busy_ns += held_ns
-            link.release()
-        contention = circuit_done - start
-        self.messages += 1
-        self.bytes_transported += nbytes
-        self.total_latency_ns += transmit_ns
-        self.total_contention_ns += contention
-        return TransferResult(transmit_ns, contention)
+                hook(now, src, dst, kind, nbytes, delivered)
+        if result is not None:
+            result.latency_ns = latency
+            result.contention_ns = contention
+            result.delivered = delivered
+        return latency
 
     def transmit_fast(self, src: int, dst: int, nbytes: int):
-        """Generator: ``_transmit_plain`` without the Message envelope.
+        """Generator: :meth:`send` specialized for the fault-free,
+        hook-free, zero-switch-delay fabric (the common case).
 
-        Returns the latency (the transmission time) as a plain int --
-        no :class:`Message`, no :class:`TransferResult` -- for callers
-        on the fault-free fast path that only need the latency split
-        (the contention split is observable as elapsed minus returned).
-        Yields the exact event sequence of :meth:`transmit`, and updates
-        the same fabric and per-link statistics, so simulated results
-        and instrumentation are bit-identical with the general path.
-        Only valid when :attr:`is_plain` is true.
+        Returns the latency (the transmission time) as a plain int; the
+        contention split is observable as elapsed minus returned.
+        Yields the exact event sequence of :meth:`send` -- one link
+        grant per hop in path order, then one transmission timeout --
+        and updates the same fabric and per-link statistics, so
+        simulated results and instrumentation are bit-identical with
+        the general path; it only strips per-message host-side work
+        (injector branches, hook dispatch).  Only valid when
+        :attr:`is_plain` is true.
         """
         if src == dst:
             return 0
@@ -376,7 +356,8 @@ class Fabric:
         callers may join if they need completion.
         """
         return self.sim.spawn(
-            self.transmit(message), name=name or f"post:{message.kind}"
+            self.send(message.src, message.dst, message.nbytes, message.kind),
+            name=name or f"post:{message.kind}",
         )
 
     # -- instrumentation -------------------------------------------------------

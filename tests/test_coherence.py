@@ -1,10 +1,12 @@
 """The Berkeley coherence state machine shared by target and CLogP."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SystemConfig
 from repro.core.coherence import CoherentMemory
+from repro.errors import ProtocolError
 from repro.memory import AddressSpace, LineState
 
 
@@ -262,3 +264,54 @@ def test_exactly_one_owner_and_dirty_is_exclusive(operations):
         if is_write:
             assert memory.caches[pid].state_of(block) is LineState.DIRTY
             assert holders == [pid]
+
+
+# -- per-block sanitizer check (check_block) -------------------------------------------
+
+V = LineState.VALID
+SD = LineState.SHARED_DIRTY
+D = LineState.DIRTY
+
+
+def _corrupt(memory, block, lines, sharers=None, owner=None):
+    """Install ``lines`` ({pid: state}) and, unless ``sharers`` is None,
+    a directory entry -- bypassing the protocol to build a broken state."""
+    for pid, state in lines.items():
+        memory.caches[pid].install(block, state)
+    if sharers is not None:
+        entry = memory.directory.entry(block)
+        entry.sharers = set(sharers)
+        entry.owner = owner
+
+
+@pytest.mark.parametrize("lines, sharers, owner, message", [
+    ({0: V}, None, None, r"cached at \[0\] but has no directory entry"),
+    ({}, (), 1, r"owner 1 missing from sharer set"),
+    ({0: SD, 1: SD}, (0, 1), 0, r"has owners \[0, 1\]"),
+    ({0: D, 1: V}, (0, 1), 0, r"exclusive at \[0\] but held by"),
+    ({0: V, 1: V}, (0,), None, r"cached at 1 but not in sharer set"),
+    ({0: SD, 1: V}, (0, 1), 1, r"directory owner 1 != cache owner 0"),
+    ({0: V}, (0,), 0, r"directory owner 0 owns nothing"),
+    ({0: V}, (0, 2), None, r"sharer 2 holds no line"),
+], ids=["no-entry", "entry-check", "two-owners", "exclusive-shared",
+        "holder-not-sharer", "owner-mismatch", "owner-holds-nothing",
+        "sharer-holds-nothing"])
+def test_check_block_reports_each_violation(lines, sharers, owner, message):
+    memory, space = make_memory()
+    block = block_homed_at(space, 0)
+    _corrupt(memory, block, lines, sharers, owner)
+    with pytest.raises(ProtocolError, match=message):
+        memory.check_block(block)
+
+
+def test_check_block_accepts_protocol_states():
+    memory, space = make_memory()
+    block = block_homed_at(space, 0)
+    memory.check_block(block)  # untouched: no entry, no lines
+    memory.plan_read(1, block)
+    memory.plan_read(2, block)
+    memory.check_block(block)  # two clean sharers
+    memory.plan_write(3, block)
+    memory.check_block(block)  # one dirty owner
+    memory.plan_read(0, block)
+    memory.check_block(block)  # shared-dirty owner plus a reader

@@ -103,6 +103,22 @@ def test_zero_rate_fault_config_is_bit_identical(machine):
     assert all(b.retry_ns == 0 for b in plain.buckets)
 
 
+@pytest.mark.parametrize("machine", ("target", "logp", "clogp"))
+def test_node_stall_is_charged_as_retry_time(machine):
+    # Node 1 is frozen for the first 200 us: its messages wait out the
+    # window, and that wait is recovery time, not latency or contention.
+    # The baseline runs the same reliable-delivery layer (enabled by a
+    # link window that never opens during the run) without the stall.
+    never = (LinkFailure(0, 1, 10**15, 10**15 + 1),)
+    stalled = _run(machine, FaultConfig(
+        link_failures=never, node_stalls=(NodeStall(1, 0, 200_000),)))
+    baseline = _run(machine, FaultConfig(link_failures=never))
+    assert stalled.verified
+    retry = sum(b.retry_ns for b in stalled.buckets)
+    assert retry > sum(b.retry_ns for b in baseline.buckets)
+    assert stalled.total_ns > baseline.total_ns
+
+
 # -- injector verdicts --------------------------------------------------------------
 
 
@@ -269,52 +285,70 @@ def test_simulate_forwards_max_events():
 
 
 class _ScriptedFabric:
-    """Fabric stand-in whose transmits follow a scripted fate sequence."""
+    """Fabric stand-in whose transfers follow a scripted fate sequence.
+
+    Every transfer takes 10 ns: 6 ns of latency and 4 ns of contention.
+    ``sent`` logs the kind of each transfer in order.
+    """
 
     def __init__(self, sim, script):
         self.sim = sim
         self.script = list(script)
+        self.sent = []
 
-    def transmit(self, message):
+    def send(self, src, dst, nbytes, kind, result):
+        self.sent.append(kind)
         delivered = self.script.pop(0)
         yield self.sim.timeout(10)
-        from repro.network.fabric import TransferResult
-        return TransferResult(
-            latency_ns=10, contention_ns=0, delivered=delivered
-        )
+        result.latency_ns = 6
+        result.contention_ns = 4
+        result.delivered = delivered
+        return 6
 
 
 def _drive_reliable(script, max_retries=8, checkers=None):
+    """One logical 0 -> 1 message sent on behalf of processor 3.
+
+    Returns the transport, the scripted fabric, the returned latency,
+    and the ``(pid, retry_ns)`` pairs the transport banked.
+    """
     from repro.faults.reliable import ReliableTransport
-    from repro.network.message import Message
 
     sim = Simulator()
     fabric = _ScriptedFabric(sim, script)
+    banked = []
     transport = ReliableTransport(
-        fabric, injector=None,
-        policy=RetryPolicy(timeout_ns=100, max_retries=max_retries,
-                           backoff=2.0),
+        fabric,
+        RetryPolicy(timeout_ns=100, max_retries=max_retries, backoff=2.0),
+        lambda pid, retry_ns: banked.append((pid, retry_ns)),
         checkers=checkers,
     )
     box = {}
 
     def proc():
-        box["result"] = yield from transport.transmit(Message(0, 1, 32, "mp"))
+        box["latency"] = yield from transport.send(3, 0, 1, 32, "mp")
 
     sim.spawn(proc())
     sim.run()
-    return transport, box["result"]
+    return transport, fabric, box["latency"], banked
 
 
 def test_arq_duplicate_suppression_under_repeated_ack_loss():
     # data ok / ack lost, twice over -- the receiver must discard both
     # retransmitted copies before the final ack lands.
     script = [True, False, True, False, True, True]
-    transport, result = _drive_reliable(script)
+    transport, fabric, latency, banked = _drive_reliable(script)
     assert transport.duplicates_suppressed == 2
     assert transport.acks_lost == 2
     assert transport.retransmissions == 2
-    assert result.attempts == 3
+    assert fabric.sent.count("mp") == 3  # attempts
+    assert fabric.sent == ["mp", "ack"] * 3
+    # The first delivery (0-10 ns) is latency plus contention;
+    # everything after it -- two lost acks, backoffs of 100 and 200 ns,
+    # two duplicate copies and the final ack -- is retry time, banked
+    # for pid 3.
+    assert latency == 6
+    assert banked == [(3, 350)]
 
 
 def test_arq_exactly_once_checker_sees_one_accepted_delivery():
@@ -322,13 +356,14 @@ def test_arq_exactly_once_checker_sees_one_accepted_delivery():
 
     checker = ExactlyOnceChecker()
     checkers = CheckerSet("basic", [checker])
-    transport, _result = _drive_reliable(
+    transport, _fabric, _latency, banked = _drive_reliable(
         [True, False, True, True], checkers=checkers
     )
     assert transport.duplicates_suppressed == 1
     assert checker.duplicates == 1
     assert checker._accepted[(0, 1)] == 1
     assert checker._completed[(0, 1)] == 1
+    assert banked == [(3, 130)]  # ack, 100 ns backoff, duplicate, ack
 
     class _M:
         pass
@@ -341,13 +376,28 @@ def test_arq_exactly_once_checker_sees_one_accepted_delivery():
 def test_arq_retry_limit_error_at_exact_cap():
     # max_retries=3 tolerates exactly 3 failed attempts: a success on
     # the 4th transmission completes ...
-    transport, result = _drive_reliable(
+    transport, fabric, latency, banked = _drive_reliable(
         [False, False, False, True, True], max_retries=3
     )
-    assert result.attempts == 4
+    assert fabric.sent.count("mp") == 4  # attempts
+    assert transport.retransmissions == 3
+    # Three lost copies and backoffs of 100, 200 and 400 ns precede the
+    # delivery at 730-740 ns; its ack lands at 750 ns.
+    assert latency == 6
+    assert banked == [(3, 740)]
     # ... while a 4th consecutive failure exhausts the cap.
     with pytest.raises(RetryLimitError):
         _drive_reliable([False, False, False, False], max_retries=3)
+
+
+def test_arq_banks_the_ack_of_a_clean_exchange():
+    transport, fabric, latency, banked = _drive_reliable([True, True])
+    assert fabric.sent == ["mp", "ack"]
+    assert latency == 6
+    # The ack's 10 ns are recovery time too: a reliable exchange is
+    # never free beyond its data transfer.
+    assert banked == [(3, 10)]
+    assert transport.retransmissions == 0
 
 
 @pytest.mark.parametrize("machine", ALL_MACHINES)

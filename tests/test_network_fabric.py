@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro import FaultConfig, LinkFailure
+from repro import FaultConfig, LinkFailure, NodeStall
 from repro.checkers import Checker, CheckerSet
-from repro.engine import RandomStreams, Simulator
+from repro.engine import (
+    HAVE_EXTENSION,
+    CompiledSimulator,
+    RandomStreams,
+    Simulator,
+    SoaSimulator,
+)
 from repro.errors import TopologyError
 from repro.faults.injector import FaultInjector
 from repro.network import Fabric, Message, make_topology
@@ -236,6 +242,60 @@ def test_failed_link_tears_down_the_whole_partial_circuit():
     assert all(link.messages == 0 for link in route)
 
 
+@pytest.mark.parametrize("make_sim", [
+    pytest.param(Simulator, id="object"),
+    pytest.param(SoaSimulator, id="soa"),
+    pytest.param(CompiledSimulator, id="compiled", marks=pytest.mark.skipif(
+        not HAVE_EXTENSION, reason="_csoa extension not built")),
+])
+def test_failure_window_hits_a_circuit_head_granted_after_waiting(make_sim):
+    # Link (7, 11) fails at t=1000.  A 7 -> 11 transfer holds it from 0
+    # to 1600 (granted before the window opens), so the 0 -> 15 worm
+    # builds four upstream links, waits at (7, 11), and is granted it
+    # at 1600 -- inside the window.  A 0 -> 1 transfer queued behind the
+    # worm's first link must be handed that link by the teardown.
+    topology = make_topology("mesh", 16)
+    fault = FaultConfig(link_failures=(LinkFailure(7, 11, 1000, 10**9),))
+    injector = FaultInjector(fault, RandomStreams(3), topology=topology)
+    sim = make_sim()
+    fabric = Fabric(sim, topology, NS_PER_BYTE, injector=injector)
+    out = run_transfers(
+        sim, fabric,
+        [Message(7, 11, 32), Message(0, 15, 32), Message(0, 1, 8)],
+        starts=[0, 0, 100],
+    )
+    (_, e_hold, held), (_, e_worm, worm), (_, e_late, late) = out
+    assert held.delivered and e_hold == 1_600
+    assert not worm.delivered and e_worm == 1_600
+    assert worm.contention_ns == 1_600  # the wait for (7, 11)
+    assert injector.window_drops == 1
+    assert late.delivered and late.contention_ns == 1_500
+    assert e_late == 1_600 + 400
+    assert fabric.messages == 3
+    assert fabric.link(7, 11).grants == 2
+    for link in fabric.links:
+        assert link.in_use == 0 and link.queue_length == 0
+
+
+def test_node_stalls_delay_injection_and_ejection():
+    # Node 0 is frozen over [0, 1000) and node 1 over [1500, 3000): the
+    # 0 -> 1 message injects at 1000, transmits until 2600, and waits
+    # out the receiver's window until 3000.  Neither wait is latency or
+    # contention.  The 2 -> 3 message touches no stalled node.
+    topology = make_topology("full", 4)
+    fault = FaultConfig(node_stalls=(NodeStall(0, 0, 1000),
+                                     NodeStall(1, 1500, 3000)))
+    injector = FaultInjector(fault, RandomStreams(3), topology=topology)
+    sim = Simulator()
+    fabric = Fabric(sim, topology, NS_PER_BYTE, injector=injector)
+    (_, e_stalled, stalled), (_, e_free, free) = run_transfers(
+        sim, fabric, [Message(0, 1, 32), Message(2, 3, 32)])
+    assert e_stalled == 3_000 and e_free == 1_600
+    assert (stalled.latency_ns, stalled.contention_ns) == (1_600, 0)
+    assert stalled.delivered and free.delivered
+    assert injector.stall_ns_injected == 1_000 + 400
+
+
 def test_hooked_general_path_accounts_like_the_plain_path():
     # Contended traffic over shared mesh links, with staggered starts.
     messages = [Message(0, 15, 32), Message(1, 15, 8), Message(4, 14, 32),
@@ -257,8 +317,10 @@ def test_hooked_general_path_accounts_like_the_plain_path():
         for b, e, r in plain_out]
     for a, b in zip(plain.links, hooked.links):
         assert (a.messages, a.bytes_carried, a.busy_ns, a.in_use,
-                a.total_wait_ns) == (b.messages, b.bytes_carried,
-                                     b.busy_ns, b.in_use, b.total_wait_ns)
+                a.grants, a.total_wait_ns) == (
+            b.messages, b.bytes_carried, b.busy_ns, b.in_use, b.grants,
+            b.total_wait_ns)
+    assert sum(link.total_wait_ns for link in hooked.links) > 0
     assert (plain.messages, plain.bytes_transported, plain.total_latency_ns,
             plain.total_contention_ns) == (
         hooked.messages, hooked.bytes_transported, hooked.total_latency_ns,
