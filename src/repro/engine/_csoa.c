@@ -13,13 +13,15 @@
  * decode, tag dispatch, the generator `send` call, and the yield
  * dispatch all run as straight-line C with no Python frames.  Flat
  * ops (see soa.py) execute natively too: link stepping, home-lock
- * attempts, settle accounting, leg transitions, and transaction
- * completion run as C over the shared op table, so an uncontended
- * remote read miss runs start-to-finish without entering the
- * interpreter.  Python is called out to only where the model itself
- * lives: the directory plan callouts (`_flat_step` on the lock tags),
- * the invalidation join (`_flat_wr_join`), contended `release()`,
- * shell `succeed`, and writeback posts.
+ * attempts, settle accounting, leg transitions, contended handoffs to
+ * parked flat ops, the counting invalidation join, and transaction
+ * completion run as C over the shared op table, so a remote miss runs
+ * start-to-finish without entering the interpreter, queued or not.
+ * Python is called out to only where the model itself lives -- the
+ * directory plan callouts and writeback posts -- and on rare paths:
+ * `home == node` invalidation rounds (`_spawn_inv`), late joiners
+ * (`_flat_join_late`), releases whose queue head is a process or
+ * Event waiter (`release()`), and failures (`_flat_fail`).
  *
  * Contract with the Python wrapper (repro/engine/compiled.py):
  *
@@ -122,19 +124,19 @@ static int g_configured = 0;
 /* Interned attribute/method names. */
 static PyObject *s_heap, *s_ring, *s_free, *s_c_meta, *s_payload,
     *s_sends, *s_popleft, *s_append, *s_now, *s_top, *s_cap, *s_compact,
-    *s_finish, *s_crash, *s_flat_wake, *s_flat_step, *s_handle_yield,
+    *s_finish, *s_crash, *s_flat_wake, *s_handle_yield,
     *s_throw, *s_execute_word, *s_dispatch, *s_callbacks, *s_exception,
     *s_value, *s_in_use, *s_capacity, *s_waiters, *s_grants,
     *s_events_executed, *s_ring_executed, *s_ring_scheduled,
     *s_rows_recycled, *s_blocked, *s_succeed, *s_release, *s_messages,
     *s_bytes_carried, *s_busy_ns, *s_bytes_transported,
     *s_total_latency_ns, *s_total_contention_ns, *s_flat_ops,
-    *s_flat_free, *s_pending_flat_op, *s_heap_row, *s_flat_wr_join,
+    *s_flat_free, *s_pending_flat_op, *s_flat_join_late,
     *s_post_fast, *s_post_writeback, *s_source, *s_from_memory,
     *s_sharing_writeback, *s_had_data, *s_writeback, *s_shwb,
-    *s_flat_fail, *s_flat_wr_invs, *s_invalidated, *s_fast, *s_hit,
+    *s_flat_fail, *s_invalidated, *s_fast, *s_hit,
     *s_flat_posts, *s_flat_tx, *s_flat_mctx, *s_triggered,
-    *s_spawn_inv;
+    *s_spawn_inv, *s_name, *s_total_wait_ns;
 
 /* -- small helpers ------------------------------------------------------- */
 
@@ -453,10 +455,9 @@ flush_counters(PyObject *sim, int64_t executed, int64_t ring_exec,
 /*
  * C twins of SoaSimulator._flat_step / _flat_wake and their helpers,
  * operating on the shared Python op table (op is a plain list; see the
- * slot layout comment in soa.py).  Python is entered only for the
- * model callouts: the directory plan step (`_flat_step` on lock tags),
- * the invalidation join (`_flat_wr_join`), contended `release()`,
- * shell `succeed`, `post_fast` and `_post_writeback`.  Transaction
+ * slot layout comment in soa.py).  Python is entered for the model
+ * callouts -- the directory plans, `post_fast` and `_post_writeback`
+ * -- and for the rare paths the file comment lists.  Transaction
  * completion does not call `_advance`: it hands (caller, result) back
  * to the run loop, which falls into its native drive section -- the
  * resume runs inside the final wake event at the exact position the
@@ -473,9 +474,7 @@ typedef struct {
     PyObject *flat_free;  /* self._flat_free (list) */
     PyObject *ring_append;
     PyObject *compact_m;
-    PyObject *flat_step_py;     /* bound _flat_step (fallback) */
     PyObject *flat_wake_py;     /* bound _flat_wake (odd tags) */
-    PyObject *flat_wr_join_py;  /* bound _flat_wr_join */
     int64_t *ring_scheduled;
     int64_t *recycled;
     /* Fabric-counter write-behind: settle totals for the (single)
@@ -595,33 +594,112 @@ acquire_or_park(PyObject *res, int64_t packed)
     }
 }
 
-/* Release an Acquirable this op holds: contended releases go through
- * the Python release() (waiter dispatch), uncontended ones decrement
- * in_use inline -- same split as the Python twins. */
+/* A parked flat op was granted the resource it waited on (the
+ * `_flat_grant` twin): the unit transferred, so a leg op now holds its
+ * next link, and the step word lands at the exact ring position the
+ * generator's `_R_VAL` resume word would have taken. */
 static int
-release_held(PyObject *res)
+flat_grant_c(FlatCtx *fc, int64_t opidx, PyObject *op)
+{
+    int64_t tag, i;
+    if (op_get_int(op, 11, &tag) < 0)
+        return -1;
+    if (tag != F_RD_LOCK && tag != F_WR_LOCK
+            && (op_get_int(op, 6, &i) < 0 || op_set_int(op, 6, i + 1) < 0))
+        return -1;
+    if (ring_append_word(fc->ring_append, (opidx << 3) | R_FLAT) < 0)
+        return -1;
+    (*fc->ring_scheduled)++;
+    return 0;
+}
+
+/* Release an Acquirable this op holds (the `Resource.release` twin).
+ * Uncontended releases decrement in_use inline, as the Python twins
+ * do.  A contended release whose queue head is a complement-packed
+ * flat waiter ~((wait_start << PROC_BITS) | opidx) hands the unit over
+ * here -- idle check, pop, bank the wait and the grant, `_flat_grant`
+ * -- in the order `release()` does; process and Event waiters go
+ * through the Python `release()`. */
+static int
+release_held(FlatCtx *fc, PyObject *res, int64_t now)
 {
     PyObject *waiters = PyObject_GetAttr(res, s_waiters);
+    PyObject *head, *op = NULL;
     Py_ssize_t wn;
+    int64_t in_use, packed = 0, opidx = -1;
     if (waiters == NULL)
         return -1;
     wn = PyObject_Size(waiters);
-    Py_DECREF(waiters);
-    if (wn < 0)
+    if (wn <= 0) {
+        Py_DECREF(waiters);
+        if (wn < 0 || get_int_attr(res, s_in_use, &in_use) < 0)
+            return -1;
+        return set_int_attr(res, s_in_use, in_use - 1);
+    }
+    head = PySequence_GetItem(waiters, 0);
+    if (head == NULL) {
+        Py_DECREF(waiters);
         return -1;
-    if (wn > 0) {
-        PyObject *r = PyObject_CallMethodNoArgs(res, s_release);
+    }
+    if (PyLong_CheckExact(head)) {
+        int overflow = 0;
+        long long v = PyLong_AsLongLongAndOverflow(head, &overflow);
+        if (v < 0 && !overflow) {
+            packed = ~(int64_t)v;
+            opidx = packed & PROC_MASK;
+            if (opidx < (int64_t)PyList_GET_SIZE(fc->flat_ops)) {
+                op = PyList_GET_ITEM(fc->flat_ops, (Py_ssize_t)opidx);
+                if (!PyList_CheckExact(op) || PyList_GET_SIZE(op) < 12)
+                    op = NULL;
+            }
+        }
+        else if (v == -1 && PyErr_Occurred()) {
+            Py_DECREF(head);
+            Py_DECREF(waiters);
+            return -1;
+        }
+    }
+    Py_DECREF(head);
+    if (op == NULL) {
+        /* Process or Event waiter (or a malformed word, which the
+         * Python twin reports). */
+        PyObject *r;
+        Py_DECREF(waiters);
+        r = PyObject_CallMethodNoArgs(res, s_release);
         if (r == NULL)
             return -1;
         Py_DECREF(r);
         return 0;
     }
-    {
-        int64_t in_use;
-        if (get_int_attr(res, s_in_use, &in_use) < 0)
-            return -1;
-        return set_int_attr(res, s_in_use, in_use - 1);
+    if (get_int_attr(res, s_in_use, &in_use) < 0) {
+        Py_DECREF(waiters);
+        return -1;
     }
+    if (in_use <= 0) {
+        PyObject *name = PyObject_GetAttr(res, s_name);
+        Py_DECREF(waiters);
+        if (name != NULL) {
+            PyErr_Format(g_simerror, "release of idle resource %R", name);
+            Py_DECREF(name);
+        }
+        return -1;
+    }
+    {
+        PyObject *r = PyObject_CallMethodNoArgs(waiters, s_popleft);
+        Py_DECREF(waiters);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
+    }
+    Py_INCREF(op);
+    if (add_int_attr(res, s_total_wait_ns, now - (packed >> PROC_BITS)) < 0
+            || add_int_attr(res, s_grants, 1) < 0
+            || flat_grant_c(fc, opidx, op) < 0) {
+        Py_DECREF(op);
+        return -1;
+    }
+    Py_DECREF(op);
+    return 0;
 }
 
 /* Schedule a K_FLAT wake at `at` on a fresh monotone row (the C twin
@@ -736,7 +814,7 @@ flat_settle_c(FlatCtx *fc, PyObject *op, int64_t now, int add_latency)
                 || add_int_attr(link, s_bytes_carried, nbytes) < 0
                 || add_int_attr(link, s_busy_ns, held) < 0)
             return -1;
-        if (release_held(link) < 0)
+        if (release_held(fc, link, now) < 0)
             return -1;
     }
     if (fc->fabric == NULL) {
@@ -769,6 +847,12 @@ static int flat_step_c(FlatCtx *fc, int64_t opidx, int64_t now,
 static int flat_done_c(FlatCtx *fc, int64_t opidx, PyObject *op,
                        int64_t *resume_p, PyObject **resume_value);
 static int flat_wr_unlock_c(FlatCtx *fc, int64_t opidx, PyObject *op,
+                            int64_t now, int64_t *resume_p,
+                            PyObject **resume_value);
+static int flat_wr_join_c(FlatCtx *fc, int64_t opidx, PyObject *op,
+                          int64_t now, int64_t *resume_p,
+                          PyObject **resume_value);
+static int flat_wr_joined_c(FlatCtx *fc, int64_t opidx, PyObject *op,
                             int64_t now, int64_t *resume_p,
                             PyObject **resume_value);
 
@@ -847,13 +931,13 @@ flat_fail_c(FlatCtx *fc, int64_t opidx, PyObject *op)
 /* Raced-with-ourselves exit (`_flat_done_early` twin): unlock,
  * resume the caller with (0, hit_ns). */
 static int
-flat_done_early_c(FlatCtx *fc, int64_t opidx, PyObject *op,
+flat_done_early_c(FlatCtx *fc, int64_t opidx, PyObject *op, int64_t now,
                   int64_t *resume_p, PyObject **resume_value)
 {
     PyObject *ctx = PyList_GET_ITEM(op, 13);
     PyObject *tup, *zero;
     int64_t p;
-    if (release_held(PyList_GET_ITEM(op, 17)) < 0)
+    if (release_held(fc, PyList_GET_ITEM(op, 17), now) < 0)
         return -1;
     if (op_get_int(op, 12, &p) < 0)
         return -1;
@@ -897,7 +981,8 @@ flat_rd_plan_c(FlatCtx *fc, int64_t opidx, PyObject *op, int64_t now,
     if (truth < 0)
         return -1;
     if (truth)  /* raced with ourselves; cannot normally happen */
-        return flat_done_early_c(fc, opidx, op, resume_p, resume_value);
+        return flat_done_early_c(fc, opidx, op, now, resume_p,
+                                 resume_value);
     truth = attr_true(plan, s_from_memory);
     if (truth < 0)
         return -1;
@@ -919,7 +1004,7 @@ flat_rd_plan_c(FlatCtx *fc, int64_t opidx, PyObject *op, int64_t now,
     if (home != source)
         return flat_leg_c(fc, opidx, op, home, source, 0, F_RD_FWD, now,
                           resume_p, resume_value);
-    if (release_held(PyList_GET_ITEM(op, 17)) < 0)
+    if (release_held(fc, PyList_GET_ITEM(op, 17), now) < 0)
         return -1;
     v = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 8));
     if (v == -1 && PyErr_Occurred())
@@ -1156,7 +1241,8 @@ flat_wr_plan_c(FlatCtx *fc, int64_t opidx, PyObject *op, int64_t now,
     if (truth < 0)
         return -1;
     if (truth)  /* raced with ourselves; cannot normally happen */
-        return flat_done_early_c(fc, opidx, op, resume_p, resume_value);
+        return flat_done_early_c(fc, opidx, op, now, resume_p,
+                                 resume_value);
     truth = attr_true(plan, s_invalidated);
     if (truth < 0)
         return -1;
@@ -1187,20 +1273,7 @@ flat_wr_plan_c(FlatCtx *fc, int64_t opidx, PyObject *op, int64_t now,
             return flat_leg_c(fc, opidx, op, home, source, 0, F_WR_FWD,
                               now, resume_p, resume_value);
     }
-    if (PyList_GET_ITEM(op, 21) != Py_None) {
-        PyObject *num = PyLong_FromLongLong((long long)opidx);
-        PyObject *r;
-        if (num == NULL)
-            return -1;
-        r = PyObject_CallFunctionObjArgs(fc->flat_wr_join_py, num, op,
-                                         NULL);
-        Py_DECREF(num);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        return 0;
-    }
-    return flat_wr_unlock_c(fc, opidx, op, now, resume_p, resume_value);
+    return flat_wr_join_c(fc, opidx, op, now, resume_p, resume_value);
 }
 
 /* One acquire-or-transmit step (the `_flat_step` twin).  The lock
@@ -1223,6 +1296,10 @@ flat_step_c(FlatCtx *fc, int64_t opidx, int64_t now,
     }
     if (tag == F_WR_LOCK) {
         rc = flat_wr_plan_c(fc, opidx, op, now, resume_p, resume_value);
+        goto out;
+    }
+    if (tag == F_WR_WAIT) {
+        rc = flat_wr_joined_c(fc, opidx, op, now, resume_p, resume_value);
         goto out;
     }
     path = PyList_GET_ITEM(op, 3);
@@ -1303,20 +1380,134 @@ flat_done_c(FlatCtx *fc, int64_t opidx, PyObject *op, int64_t *resume_p,
     return 0;
 }
 
-/* `_flat_wr_join` callout (builds the all_of join, parks the op). */
+/* Home-side work of a write done: wait for its invalidation rounds
+ * (the `_flat_wr_join` twin).  The counting join parks ~opidx in every
+ * pending round's callbacks, books a late-joiner event through the
+ * Python `_flat_join_late` for a round that already dispatched, and
+ * counts the rounds still out in op[23]. */
 static int
-call_wr_join(FlatCtx *fc, int64_t opidx, PyObject *op)
+flat_wr_join_c(FlatCtx *fc, int64_t opidx, PyObject *op, int64_t now,
+               int64_t *resume_p, PyObject **resume_value)
 {
-    PyObject *num = PyLong_FromLongLong((long long)opidx);
-    PyObject *r;
-    if (num == NULL)
+    PyObject *invs = PyList_GET_ITEM(op, 21);
+    PyObject *waiter;
+    Py_ssize_t n, k;
+    int rc = -1;
+    if (invs == Py_None)
+        return flat_wr_unlock_c(fc, opidx, op, now, resume_p, resume_value);
+    if (!PyList_CheckExact(invs)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "_csoa: flat-op invalidation rounds are not a list");
         return -1;
-    r = PyObject_CallFunctionObjArgs(fc->flat_wr_join_py, num, op, NULL);
-    Py_DECREF(num);
-    if (r == NULL)
+    }
+    n = PyList_GET_SIZE(invs);
+    if (n == 0)
+        return flat_wr_unlock_c(fc, opidx, op, now, resume_p, resume_value);
+    if (op_set_int(op, 11, F_WR_WAIT) < 0 || op_set_int(op, 23, n) < 0)
         return -1;
-    Py_DECREF(r);
-    return 0;
+    waiter = PyLong_FromLongLong((long long)~opidx);
+    if (waiter == NULL)
+        return -1;
+    Py_INCREF(invs);
+    for (k = 0; k < n; k++) {
+        PyObject *shell = PyList_GET_ITEM(invs, k);
+        PyObject *callbacks = PyObject_GetAttr(shell, s_callbacks);
+        int arc;
+        if (callbacks == NULL)
+            goto out;
+        if (callbacks == Py_None) {
+            PyObject *num = PyLong_FromLongLong((long long)opidx);
+            PyObject *r = NULL;
+            if (num != NULL) {
+                r = PyObject_CallMethodObjArgs(fc->sim, s_flat_join_late,
+                                               num, shell, NULL);
+                Py_DECREF(num);
+            }
+            arc = (r == NULL) ? -1 : 0;
+            Py_XDECREF(r);
+        }
+        else  /* raises SystemError unless callbacks is a list */
+            arc = PyList_Append(callbacks, waiter);
+        Py_DECREF(callbacks);
+        if (arc < 0)
+            goto out;
+    }
+    rc = 0;
+out:
+    Py_DECREF(invs);
+    Py_DECREF(waiter);
+    return rc;
+}
+
+/* One invalidation round of a waiting write finished without an
+ * exception (the `_flat_join_round` twin on its success path, run
+ * inside the round shell's dispatch).  The last round queues the op's
+ * continuation word where `all_of`'s composite dispatch would sit.
+ * Returns 1 counted, 0 when `op` is not a waiting transaction op (the
+ * caller lets the Python dispatch decide), -1 on error. */
+static int
+flat_join_round_c(FlatCtx *fc, int64_t opidx)
+{
+    PyObject *op;
+    int64_t left;
+    if (opidx >= (int64_t)PyList_GET_SIZE(fc->flat_ops))
+        return 0;
+    op = PyList_GET_ITEM(fc->flat_ops, (Py_ssize_t)opidx);
+    if (!PyList_CheckExact(op) || PyList_GET_SIZE(op) < 24)
+        return 0;
+    if (op_get_int(op, 23, &left) < 0)
+        return -1;
+    if (left <= 0)
+        return 1;  /* the join already failed; later rounds are moot */
+    if (op_set_int(op, 23, left - 1) < 0)
+        return -1;
+    if (left > 1)
+        return 1;
+    Py_INCREF(Py_None);
+    if (PyList_SetItem(op, 21, Py_None) < 0)
+        return -1;
+    if (ring_append_word(fc->ring_append, (opidx << 3) | R_FLAT) < 0)
+        return -1;
+    (*fc->ring_scheduled)++;
+    return 1;
+}
+
+/* Every invalidation round finished: resume the write program (the
+ * `_flat_wr_joined` twin).  A failed join hands its exception to the
+ * Python `_flat_fail`. */
+static int
+flat_wr_joined_c(FlatCtx *fc, int64_t opidx, PyObject *op, int64_t now,
+                 int64_t *resume_p, PyObject **resume_value)
+{
+    int64_t hri, lat, round_ns;
+    if (PyList_GET_ITEM(op, 21) != Py_None) {
+        PyObject *num = PyLong_FromLongLong((long long)opidx);
+        PyObject *r;
+        if (num == NULL)
+            return -1;
+        r = PyObject_CallMethodObjArgs(fc->sim, s_flat_fail, num, op,
+                                       PyList_GET_ITEM(op, 21), NULL);
+        Py_DECREF(num);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
+        return 0;
+    }
+    if (op_get_int(op, 22, &hri) < 0)
+        return -1;
+    if (hri) {
+        /* Contention-free the rounds overlap: one round's worth of
+         * transmission time is genuine latency. */
+        long long v = PyLong_AsLongLong(
+            PyTuple_GET_ITEM(PyList_GET_ITEM(op, 13), 9));
+        if (v == -1 && PyErr_Occurred())
+            return -1;
+        round_ns = (int64_t)v;
+        if (op_get_int(op, 19, &lat) < 0
+                || op_set_int(op, 19, lat + round_ns) < 0)
+            return -1;
+    }
+    return flat_wr_unlock_c(fc, opidx, op, now, resume_p, resume_value);
 }
 
 /* Release the directory and launch a write's final leg (the
@@ -1328,7 +1519,7 @@ flat_wr_unlock_c(FlatCtx *fc, int64_t opidx, PyObject *op, int64_t now,
     PyObject *plan = PyList_GET_ITEM(op, 18);
     int64_t pid, home;
     int truth;
-    if (release_held(PyList_GET_ITEM(op, 17)) < 0)
+    if (release_held(fc, PyList_GET_ITEM(op, 17), now) < 0)
         return -1;
     if (op_get_int(op, 14, &pid) < 0 || op_get_int(op, 16, &home) < 0)
         return -1;
@@ -1436,7 +1627,7 @@ flat_tx_native(FlatCtx *fc, PyObject *mctx, PyObject *y, int64_t p,
             goto fail;
     }
 
-    op = PyList_New(23);
+    op = PyList_New(24);
     if (op == NULL)
         goto fail;
 #define SETI(idx, val)                                                  \
@@ -1491,6 +1682,7 @@ flat_tx_native(FlatCtx *fc, PyObject *mctx, PyObject *y, int64_t p,
     SETI(20, 0);
     SETO(21, Py_None);
     SETI(22, 0);
+    SETI(23, 0);
 #undef SETI
 #undef SETO
 
@@ -1654,7 +1846,7 @@ flat_wake_c(FlatCtx *fc, int64_t opidx, int64_t now, int64_t *resume_p,
     }
     case F_RD_MEM: {
         int64_t home, pid;
-        if (release_held(PyList_GET_ITEM(op, 17)) < 0)
+        if (release_held(fc, PyList_GET_ITEM(op, 17), now) < 0)
             goto out;
         if (op_get_int(op, 16, &home) < 0
                 || op_get_int(op, 14, &pid) < 0)
@@ -1672,7 +1864,7 @@ flat_wake_c(FlatCtx *fc, int64_t opidx, int64_t now, int64_t *resume_p,
         long long h;
         if (flat_settle_c(fc, op, now, 1) < 0)
             goto out;
-        if (release_held(PyList_GET_ITEM(op, 17)) < 0)
+        if (release_held(fc, PyList_GET_ITEM(op, 17), now) < 0)
             goto out;
         h = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 8));
         if (h == -1 && PyErr_Occurred())
@@ -1751,14 +1943,7 @@ flat_wake_c(FlatCtx *fc, int64_t opidx, int64_t now, int64_t *resume_p,
     case F_WR_FWD: {
         if (tag == F_WR_FWD && flat_settle_c(fc, op, now, 1) < 0)
             goto out;
-        if (PyList_GET_ITEM(op, 21) != Py_None) {
-            /* Invalidation join: all_of construction and the parked
-             * wait live in Python. */
-            rc = call_wr_join(fc, opidx, op);
-            goto out;
-        }
-        rc = flat_wr_unlock_c(fc, opidx, op, now, resume_p,
-                              resume_value);
+        rc = flat_wr_join_c(fc, opidx, op, now, resume_p, resume_value);
         goto out;
     }
     case F_WR_GRANT:
@@ -1786,9 +1971,9 @@ csoa_run_fast(PyObject *module, PyObject *sim)
         *payload = NULL, *sends = NULL;
     PyObject *ring_popleft = NULL, *ring_append = NULL, *compact_m = NULL,
         *finish_m = NULL, *crash_m = NULL, *flat_wake_m = NULL,
-        *flat_step_m = NULL, *handle_yield_m = NULL, *throw_m = NULL,
+        *handle_yield_m = NULL, *throw_m = NULL,
         *execute_word_m = NULL;
-    PyObject *flat_ops = NULL, *flat_free = NULL, *flat_wr_join_m = NULL;
+    PyObject *flat_ops = NULL, *flat_free = NULL;
     PyObject *mctx = NULL, *mctx_trans = NULL;  /* borrowed from mctx */
     PyObject *result = NULL;
     FlatCtx fc = {0};
@@ -1824,19 +2009,16 @@ csoa_run_fast(PyObject *module, PyObject *sim)
     finish_m = PyObject_GetAttr(sim, s_finish);
     crash_m = PyObject_GetAttr(sim, s_crash);
     flat_wake_m = PyObject_GetAttr(sim, s_flat_wake);
-    flat_step_m = PyObject_GetAttr(sim, s_flat_step);
     handle_yield_m = PyObject_GetAttr(sim, s_handle_yield);
     throw_m = PyObject_GetAttr(sim, s_throw);
     execute_word_m = PyObject_GetAttr(sim, s_execute_word);
     flat_ops = PyObject_GetAttr(sim, s_flat_ops);
     flat_free = PyObject_GetAttr(sim, s_flat_free);
-    flat_wr_join_m = PyObject_GetAttr(sim, s_flat_wr_join);
     if (ring_popleft == NULL || ring_append == NULL || compact_m == NULL
             || finish_m == NULL || crash_m == NULL || flat_wake_m == NULL
-            || flat_step_m == NULL || handle_yield_m == NULL
+            || handle_yield_m == NULL
             || throw_m == NULL || execute_word_m == NULL
-            || flat_ops == NULL || flat_free == NULL
-            || flat_wr_join_m == NULL)
+            || flat_ops == NULL || flat_free == NULL)
         goto cleanup;
     if (!PyList_CheckExact(flat_ops) || !PyList_CheckExact(flat_free)) {
         PyErr_SetString(PyExc_TypeError,
@@ -1850,11 +2032,9 @@ csoa_run_fast(PyObject *module, PyObject *sim)
     fc.flat_free = flat_free;
     fc.ring_append = ring_append;
     fc.compact_m = compact_m;
-    fc.flat_step_py = flat_step_m;
     fc.flat_wake_py = flat_wake_m;
     fc.payload = payload;
     fc.freelist = freelist;
-    fc.flat_wr_join_py = flat_wr_join_m;
     fc.ring_scheduled = &ring_scheduled;
     fc.recycled = &recycled;
     /* The machine's native-transaction registration (None when the
@@ -2049,7 +2229,7 @@ csoa_run_fast(PyObject *module, PyObject *sim)
                 if (kind == K_EVENT) {
                     PyObject *ev = PyList_GET_ITEM(payload, row);
                     PyObject *callbacks;
-                    int inlined = 0;
+                    int inlined = 0, joined = 0;
                     Py_INCREF(ev);
                     if (payload_clear(payload, row) < 0) {
                         Py_DECREF(ev);
@@ -2110,10 +2290,32 @@ csoa_run_fast(PyObject *module, PyObject *sim)
                                 p = (int64_t)wp;
                                 inlined = 1;
                             }
+                            else {
+                                /* A write's invalidation join parked
+                                 * as ~opidx: count the round inside
+                                 * this dispatch event. */
+                                int jrc = flat_join_round_c(
+                                    &fc, ~(int64_t)wp);
+                                if (jrc > 0
+                                        && PyObject_SetAttr(ev, s_callbacks,
+                                                            Py_None) < 0)
+                                    jrc = -1;
+                                if (jrc < 0) {
+                                    Py_DECREF(exc);
+                                    Py_DECREF(callbacks);
+                                    Py_DECREF(ev);
+                                    goto cleanup_flush;
+                                }
+                                joined = jrc;
+                            }
                         }
                         Py_DECREF(exc);
                     }
                     Py_DECREF(callbacks);
+                    if (joined) {
+                        Py_DECREF(ev);
+                        continue;
+                    }
                     if (!inlined) {
                         PyObject *r =
                             PyObject_CallMethodNoArgs(ev, s_dispatch);
@@ -2554,13 +2756,11 @@ cleanup:
     Py_XDECREF(finish_m);
     Py_XDECREF(crash_m);
     Py_XDECREF(flat_wake_m);
-    Py_XDECREF(flat_step_m);
     Py_XDECREF(handle_yield_m);
     Py_XDECREF(throw_m);
     Py_XDECREF(execute_word_m);
     Py_XDECREF(flat_ops);
     Py_XDECREF(flat_free);
-    Py_XDECREF(flat_wr_join_m);
     return result;
 }
 
@@ -2639,7 +2839,6 @@ PyInit__csoa(void)
     INTERN(s_finish, "_finish");
     INTERN(s_crash, "_crash");
     INTERN(s_flat_wake, "_flat_wake");
-    INTERN(s_flat_step, "_flat_step");
     INTERN(s_handle_yield, "_handle_yield");
     INTERN(s_throw, "_throw");
     INTERN(s_execute_word, "_execute_word");
@@ -2667,8 +2866,7 @@ PyInit__csoa(void)
     INTERN(s_flat_ops, "_flat_ops");
     INTERN(s_flat_free, "_flat_free");
     INTERN(s_pending_flat_op, "_pending_flat_op");
-    INTERN(s_heap_row, "_heap_row");
-    INTERN(s_flat_wr_join, "_flat_wr_join");
+    INTERN(s_flat_join_late, "_flat_join_late");
     INTERN(s_post_fast, "post_fast");
     INTERN(s_post_writeback, "_post_writeback");
     INTERN(s_source, "source");
@@ -2678,7 +2876,6 @@ PyInit__csoa(void)
     INTERN(s_writeback, "writeback");
     INTERN(s_shwb, "shwb");
     INTERN(s_flat_fail, "_flat_fail");
-    INTERN(s_flat_wr_invs, "_flat_wr_invs");
     INTERN(s_invalidated, "invalidated");
     INTERN(s_fast, "fast");
     INTERN(s_hit, "hit");
@@ -2687,6 +2884,8 @@ PyInit__csoa(void)
     INTERN(s_flat_mctx, "_flat_mctx");
     INTERN(s_triggered, "triggered");
     INTERN(s_spawn_inv, "_spawn_inv");
+    INTERN(s_name, "name");
+    INTERN(s_total_wait_ns, "total_wait_ns");
 #undef INTERN
     m = PyModule_Create(&csoa_module);
     return m;

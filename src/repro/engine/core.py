@@ -224,19 +224,18 @@ class Event:
             for callback in callbacks:
                 # Under the SoA kernel a waiting process is parked as a
                 # plain int (its process index), and a flat transaction
-                # op waiting on its invalidation join is parked as the
-                # complement ``~opidx`` (negative, so it cannot collide
-                # with a process index); the object kernel only ever
-                # registers callables, so both branches are dead there.
+                # op joining this event as one of its invalidation
+                # rounds is parked as the complement ``~opidx``
+                # (negative, so it cannot collide with a process
+                # index); the object kernel only ever registers
+                # callables, so both branches are dead there.
                 if callback.__class__ is int:
                     if callback >= 0:
                         self.sim._advance(
                             callback, self.value, self._exception
                         )
                     else:
-                        self.sim._flat_resume(
-                            ~callback, self.value, self._exception
-                        )
+                        self.sim._flat_join_round(~callback, self)
                 else:
                     callback(self)
 

@@ -36,6 +36,13 @@ class Resource(Acquirable):
     negative ints ``~((wait_start_ns << PROC_BITS) | opidx)`` resumed
     through ``sim._flat_grant``.  All forms are granted strictly in
     arrival order.
+
+    :meth:`release` is the specification of a handoff.  The compiled
+    loop (``_csoa.c``'s ``release_held``) repeats it natively when a
+    flat op releases a link or home lock whose queue head is a flat
+    waiter -- same idle check, same pop, same ``total_wait_ns`` and
+    ``grants`` banking, same ``_flat_grant`` ring word -- and calls
+    this method for every other head.
     """
 
     __slots__ = ("sim", "capacity", "in_use", "_waiters", "name",

@@ -92,6 +92,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import deque
+from functools import partial
 from typing import Any, Dict, List, Optional
 
 from ..errors import DeadlockError, ReproError, SimulationError, WatchdogError
@@ -107,7 +108,6 @@ from .core import (
     _order_regressed,
     _past_schedule,
     _time_went_backwards,
-    all_of,
 )
 
 # Row kinds, stored in the metadata column's low 3 bits.
@@ -136,8 +136,9 @@ VAL_SHIFT = 3 + PROC_BITS
 # of SoaSimulator).  F_XMIT is the fire-and-forget transmit program;
 # the rest are the states of the compiled memory-transaction programs
 # (flat_transact), named <phase the op is currently in>.  A _R_FLAT
-# ring word means "next leg link granted" for leg tags and "home lock
-# granted, run the directory plan" for the two LOCK tags; a K_FLAT
+# ring word means "next leg link granted" for leg tags, "home lock
+# granted, run the directory plan" for the two LOCK tags, and "every
+# invalidation round finished" for F_WR_WAIT; a K_FLAT
 # heap row means "transmission done, settle" for leg tags and "service
 # sleep done" for the MEM/HIT tags.
 F_XMIT = 0       #: fire-and-forget transmit (flat_transmit)
@@ -376,8 +377,11 @@ class SoaSimulator(Simulator):
     #  18 plan     directory plan (set by the LOCK step)
     #  19 latency  accumulated contention-free latency_ns
     #  20 service  accumulated memory/owner service_ns
-    #  21 invs     spawned invalidation-round shells, or None
+    #  21 invs     spawned invalidation-round shells, or None; while
+    #              the join waits, the shells (None once it succeeded,
+    #              the failing round's exception once it failed)
     #  22 hri      1 when any invalidation target was remote
+    #  23 joins    invalidation rounds the join still waits for
     #
     # An op's timeline mirrors the generator it replaces *step for
     # step*: the start word doubles as the first acquire attempt,
@@ -395,9 +399,13 @@ class SoaSimulator(Simulator):
     # the cross-kernel parity tests pin.  Busy links or home locks park
     # the op as the complement-packed *negative* int
     # ``~((now << PROC_BITS) | opidx)`` so ``Resource.release`` can
-    # tell it from a process waiter, and a transaction waiting on its
-    # invalidation join parks ``~opidx`` in the join event's callbacks
-    # (see ``Event._dispatch``).
+    # tell it from a process waiter.  A write waiting on its
+    # invalidation rounds joins them with a *counting join* rather
+    # than an ``all_of`` Event: each round's shell carries ``~opidx``
+    # in its callbacks (see ``Event._dispatch``), the op counts the
+    # rounds still out in slot 23, and the last round queues one
+    # ``_R_FLAT`` continuation word where ``all_of``'s composite
+    # event would have queued its dispatch (see ``_flat_wr_join``).
 
     def flat_transmit(self, fabric, legs, value: Any = None) -> Event:
         """Post a flattened fire-and-forget transmit; returns the shell.
@@ -452,7 +460,7 @@ class SoaSimulator(Simulator):
         completes.
         """
         op = [None, ctx[0], None, None, 0, 0, 0, 0, 0, None, 0,
-              0, -1, ctx, pid, block, home, lock, None, 0, 0, None, 0]
+              0, -1, ctx, pid, block, home, lock, None, 0, 0, None, 0, 0]
         free = self._flat_free
         if free:
             opidx = free.pop()
@@ -489,6 +497,9 @@ class SoaSimulator(Simulator):
         if tag == F_WR_LOCK:
             self._flat_wr_plan(opidx, op)
             return
+        if tag == F_WR_WAIT:
+            self._flat_wr_joined(opidx, op)
+            return
         path = op[3]
         i = op[6]
         if i < len(path):
@@ -512,7 +523,8 @@ class SoaSimulator(Simulator):
         self._heap_row(self._now + op[5], K_FLAT, opidx)
 
     def _flat_grant(self, opidx: int) -> None:
-        """A parked flat op was granted its resource (Resource.release)."""
+        """A parked flat op was granted its resource (Resource.release;
+        the compiled loop's ``release_held`` does this natively)."""
         # The grant transferred the unit, so the op now holds the link
         # (or home lock); the step word lands at the exact ring position
         # the generator's ``_R_VAL`` resume word would have taken.
@@ -809,24 +821,79 @@ class SoaSimulator(Simulator):
                     break
 
     def _flat_wr_join(self, opidx: int, op: list) -> None:
-        """Home-side work done: wait for the invalidation rounds."""
+        """Home-side work done: wait for the invalidation rounds.
+
+        Sequential consistency: the home releases the block only after
+        every stale copy is gone.  The join is built here -- not at
+        plan time -- exactly where the generator form evaluates
+        ``all_of(sim, rounds)``, and reproduces that composite event
+        for event without allocating it: the op parks as ``~opidx`` in
+        each pending round's callbacks (``all_of`` appends its
+        ``on_done`` there), a round that already dispatched gets its
+        late-joiner event (``_flat_join_late``), and slot 23 counts the
+        rounds still out (``all_of``'s ``left``).
+        """
         invs = op[21]
         if invs:
-            # Sequential consistency: the home releases the block only
-            # after every stale copy is gone.  The join event is built
-            # here -- not at plan time -- exactly where the generator
-            # form evaluates ``all_of``; the op parks in its callbacks
-            # as the complement ``~opidx`` (see Event._dispatch).
-            op[21] = None
             op[11] = F_WR_WAIT
-            all_of(self, invs)._callbacks.append(~opidx)
+            op[23] = len(invs)
+            waiter = ~opidx
+            for shell in invs:
+                callbacks = shell._callbacks
+                if callbacks is None:
+                    self._flat_join_late(opidx, shell)
+                else:
+                    callbacks.append(waiter)
             return
         self._flat_wr_unlock(opidx, op)
 
-    def _flat_resume(self, opidx: int, value: Any,
-                     exc: Optional[BaseException]) -> None:
-        """The invalidation join dispatched: resume the write program."""
+    def _flat_join_late(self, opidx: int, shell: Event) -> None:
+        """Join a round whose shell already dispatched.
+
+        ``Event.add_callback`` schedules such a late joiner as one
+        callable on the ring at the current time; this is that event,
+        counting the round when it runs.
+        """
+        self._payload_row(K_CALL, 0,
+                          partial(self._flat_join_round, opidx, shell))
+
+    def _flat_join_round(self, opidx: int, shell: Event) -> None:
+        """One invalidation round of a waiting write finished.
+
+        Runs inside the round shell's dispatch (``Event._dispatch``
+        meets the parked ``~opidx``) or as its late-joiner event -- the
+        two places ``all_of``'s ``on_done`` runs.  The last round, or
+        the first failing one, queues the op's continuation word at
+        the ring position the composite event's dispatch would take.
+        """
         op = self._flat_ops[opidx]
+        left = op[23]
+        if left <= 0:
+            return  # the join already failed; later rounds are moot
+        exc = shell._exception
+        if exc is not None:
+            # The first failing round fails the join.  Rounds still
+            # out drop the parked waiter so a recycled op slot can
+            # never be counted down by them.
+            waiter = ~opidx
+            for other in op[21]:
+                callbacks = other._callbacks
+                if callbacks is not None and waiter in callbacks:
+                    callbacks.remove(waiter)
+            op[21] = exc
+            op[23] = 0
+        else:
+            left -= 1
+            op[23] = left
+            if left:
+                return
+            op[21] = None
+        self._ring_scheduled += 1
+        self._ring.append((opidx << 3) | _R_FLAT)
+
+    def _flat_wr_joined(self, opidx: int, op: list) -> None:
+        """The invalidation join completed: resume the write program."""
+        exc = op[21]
         if exc is not None:
             self._flat_fail(opidx, op, exc)
             return

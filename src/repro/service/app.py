@@ -374,6 +374,16 @@ class ReproService:
                 return Response(
                     200, self._memo_get(digest), {"x-repro-source": "store"}
                 )
+            # A leader may have delivered while the lookup ran in its
+            # thread: the memo holds the body, but the write-behind put
+            # has not reached the store yet, and the flight has left
+            # ``entries`` -- without this check the request would lead
+            # a second simulation of the same point.
+            body = self._memo_get(digest)
+            if body is not None:
+                self.stats.warm_memo += 1
+                self.stats.warm_latency.record(time.monotonic() - start)
+                return Response(200, body, {"x-repro-source": "memo"})
 
         # Cold: the spec needs a simulation.
         if self.draining:

@@ -13,10 +13,13 @@ from repro import (
     make_app,
     simulate,
 )
+from repro.core.logp_net import LogPNetwork
+from repro.core.params import LogPParams
 from repro.engine.core import Simulator
 from repro.engine.rng import FAULT_STREAM, RandomStreams
 from repro.faults.injector import FaultInjector, make_injector
 from repro.faults.reliable import RetryPolicy
+from repro.network import Fabric, Message, make_topology
 
 ALL_MACHINES = ("target", "logp", "clogp", "ideal")
 
@@ -120,6 +123,70 @@ def test_node_stall_is_charged_as_retry_time(machine):
 
 
 # -- injector verdicts --------------------------------------------------------------
+
+
+class _RecordingInjector(FaultInjector):
+    """An injector that logs every verdict it hands out."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fates = []
+
+    def fate(self, src, dst, now, check_route=False):
+        verdict = super().fate(src, dst, now, check_route=check_route)
+        self.fates.append(verdict)
+        return verdict
+
+
+def test_fabric_adds_each_drawn_delay_after_transmission():
+    # Every message draws a delay: the general fabric waits it out after
+    # the transmission, and books it as neither latency nor contention.
+    topology = make_topology("full", 4)
+    injector = _RecordingInjector(FaultConfig(delay_rate=1.0, delay_ns=500),
+                                  RandomStreams(3), topology=topology)
+    sim = Simulator()
+    fabric = Fabric(sim, topology, 50, injector=injector)
+    out = []
+
+    def send(src, dst, start):
+        yield start
+        begin = sim.now
+        result = yield from fabric.transmit(Message(src, dst, 32))
+        out.append((sim.now - begin, result))
+
+    sim.spawn(send(0, 1, 0))
+    sim.spawn(send(2, 3, 10))
+    sim.run()
+    delays = [fate.delay_ns for fate in injector.fates]
+    assert len(delays) == 2 and min(delays) > 0 and delays[0] != delays[1]
+    assert injector.delayed == 2
+    for (elapsed, result), delay in zip(out, delays):
+        assert elapsed == 32 * 50 + delay
+        assert (result.latency_ns, result.contention_ns) == (1_600, 0)
+        assert result.delivered
+
+
+def test_logp_adds_each_drawn_delay_to_the_arrival():
+    # arrived = sent + L + delay: the drawn delay of each message lands
+    # in its trip, as retry time (the ack's own draw does not delay it).
+    fault = FaultConfig(delay_rate=1.0, delay_ns=500)
+    injector = _RecordingInjector(fault, RandomStreams(3))
+    sim = Simulator()
+    L = 1_600
+    net = LogPNetwork(sim, LogPParams(L_ns=L, g_ns=0, o_ns=0, P=4),
+                      injector=injector,
+                      retry_policy=RetryPolicy.from_fault(fault))
+    first = net.one_way(0, 1)
+    second = net.one_way(2, 3)
+    # Fates alternate message, ack, message, ack.
+    delays = [fate.delay_ns for fate in injector.fates[::2]]
+    assert len(injector.fates) == 4
+    assert min(delays) > 0 and delays[0] != delays[1]
+    for trip, delay in zip((first, second), delays):
+        assert trip.total_ns == 2 * L + delay
+        assert trip.latency_ns == L
+        assert trip.stall_ns == 0
+        assert trip.retry_ns == L + delay
 
 
 def test_injector_rates_are_respected():

@@ -266,6 +266,67 @@ def test_cold_result_is_persisted_for_the_next_daemon(tmp_path):
     assert ResultStore(tmp_path).get(spec) is not None
 
 
+class _RacingStore(ResultStore):
+    """A store whose lookups straddle the leader's delivery.
+
+    The first lookup misses at once, so its request leads the flight.
+    Every later lookup blocks until the leader has delivered -- the
+    write-behind put has started -- and then misses too, because that
+    put is held until the test releases it.
+    """
+
+    def __init__(self, root):
+        super().__init__(root)
+        self._lock = threading.Lock()
+        self.lookups = 0
+        self.delivered = threading.Event()
+        self.release_put = threading.Event()
+
+    def get(self, spec):
+        with self._lock:
+            self.lookups += 1
+            first = self.lookups == 1
+        if not first:
+            assert self.delivered.wait(30.0), "leader never delivered"
+        return None
+
+    def put(self, spec, result):
+        self.delivered.set()
+        assert self.release_put.wait(30.0), "put never released"
+        super().put(spec, result)
+
+
+def test_request_whose_store_lookup_straddles_delivery_is_not_resimulated(
+        tmp_path):
+    spec = quick_spec()
+    store = _RacingStore(tmp_path)
+
+    async def scenario(service):
+        try:
+            responses = await asyncio.gather(
+                service.serve_spec(spec, 30.0),
+                service.serve_spec(spec, 30.0),
+            )
+        finally:
+            store.release_put.set()
+        return responses, service.stats.simulated
+
+    responses, simulated = run_service(
+        scenario, store=store,
+        config=ServiceConfig(cache_dir=str(tmp_path)),
+    )
+    reference = reference_body(spec)
+    assert simulated == 1
+    assert [r.status for r in responses] == [200, 200]
+    assert [r.body for r in responses] == [reference, reference]
+    assert sorted(r.headers["x-repro-source"] for r in responses) == [
+        "memo", "simulated",
+    ]
+    assert store.lookups == 2
+    # The follower found the leader's memo entry after its store miss.
+    assert ResultStore(tmp_path).get(spec) is not None
+
+
 # -- admission control ---------------------------------------------------------------
 
 
